@@ -8,18 +8,19 @@
  * the core count) through the deterministic multicore engine
  * (multicore::run_multicore) and reports, per cell:
  *
- *   - aggregate IPC and the coherence traffic the MSI-style
- *     invalidation filter generated (invalidations, invalidating
- *     stores, L2 intervals closed by invalidation instead of touch);
+ *   - aggregate IPC and the coherence traffic the store snoops
+ *     generated (invalidations, invalidating stores, L2 intervals
+ *     closed by invalidation instead of touch);
  *   - the 70nm per-level oracle bounds: OPT-Drowsy / OPT-Sleep /
  *     OPT-Hybrid pooled across every core's private L1s, and the same
- *     bounds on the shared L2's merged per-bank interval population.
+ *     bounds on the shared L2's interval population.
  *
  * The committed BENCH_multicore.json is this binary's --json report.
- * The default --l2-assoc of 16 deliberately exceeds the kernel's 8-way
- * ceiling so the shared L2 runs on the reference decision logic and
- * the report's "sim_path" column shows the surfaced "mixed" lane;
- * --l2-assoc 1 restores the stock direct-mapped geometry (all-kernel).
+ * The default --l2-assoc of 16 is the kernel's widest packable
+ * geometry, so every cache runs the kernel and the report's "sim path"
+ * column reads "kernel"; --l2-assoc 1 restores the stock direct-mapped
+ * geometry, and an --l2-assoc above 16 falls back to the reference
+ * decision logic for the L2 (the column then reads "mixed").
  *
  * Results are byte-identical across --jobs values and across runs:
  * the interleaver is a pure function of the configuration (see
@@ -87,11 +88,11 @@ main(int argc, char **argv)
     };
 
     util::Table sweep("multicore sweep: IPC and coherence traffic "
-                      "(shared L2, MSI invalidation filter)");
+                      "(shared L2, store-snoop invalidation)");
     sweep.set_header({"cores", "mix", "IPC", "invalidations",
                       "inval stores", "L2 inval closes", "sim path"});
     util::Table bounds("per-level 70nm oracle bounds (L1 pooled over "
-                       "all cores; L2 = merged bank population)");
+                       "all cores; L2 = shared population)");
     bounds.set_header({"cores", "mix", "L1 OPT-Drowsy", "L1 OPT-Sleep",
                        "L1 OPT-Hybrid", "L2 OPT-Drowsy", "L2 OPT-Sleep",
                        "L2 OPT-Hybrid"});

@@ -199,11 +199,11 @@ struct ExperimentResult
      * Which cache decision-logic lane the simulation actually ran
      * (reporting only, excluded from serialize_result like from_cache):
      * "kernel" when every cache took the devirtualized kernel,
-     * "reference" when none did, "mixed" when they disagreed (the
-     * common multicore shape: 8-way L1s kernelized over a 16-way L2
-     * that silently fell back to reference logic), and "cache" for a
-     * result loaded from the artifact cache (no simulation ran at
-     * all).  Empty only for pre-existing serialized results.
+     * "reference" when none did, "mixed" when they disagreed (a cache
+     * wider than 16 ways silently falls back to reference logic next
+     * to kernelized ones), and "cache" for a result loaded from the
+     * artifact cache (no simulation ran at all).  Empty only for
+     * pre-existing serialized results.
      */
     std::string sim_path_effective;
 

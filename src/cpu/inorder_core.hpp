@@ -126,6 +126,9 @@ class InOrderCore
      */
     using GroupHook = std::function<bool(const CoreRunStats &)>;
 
+    /** run_with's stop cycle when only the budget ends the run. */
+    static constexpr Cycle kNeverStop = ~Cycle{0};
+
     /** Execute up to @p max_instructions; returns run statistics. */
     CoreRunStats run(std::uint64_t max_instructions);
 
@@ -139,12 +142,17 @@ class InOrderCore
      * addr, is_store, result) and on_group_end(), all of which inline
      * into the loop.  The op stream, timing, and statistics are
      * byte-identical to run() over an equivalent AccessListener.
+     * The run also stops after the first fetch group that leaves the
+     * clock at or past @p stop_cycle, with the stream position
+     * preserved for the next run (the multicore interleaver's step).
      */
     template <typename L>
     CoreRunStats
-    run_with(std::uint64_t max_instructions, L &listener)
+    run_with(std::uint64_t max_instructions, L &listener,
+             Cycle stop_cycle = kNeverStop)
     {
-        return run_loop(max_instructions, GroupHook(), listener);
+        return run_loop(max_instructions, GroupHook(), listener,
+                        stop_cycle);
     }
 
     /**
@@ -236,7 +244,7 @@ class InOrderCore
     template <typename L>
     CoreRunStats
     run_loop(std::uint64_t max_instructions, const GroupHook &hook,
-             L &listener)
+             L &listener, Cycle stop_cycle = kNeverStop)
     {
         // A hooked run takes state signatures between groups; the
         // workload must not be driven ahead of consumption, so the
@@ -331,6 +339,8 @@ class InOrderCore
                 if (!hook(stats))
                     break;
             }
+            if (cycle_ >= stop_cycle)
+                break;
         }
 
         stats.cycles = cycle_;

@@ -6,10 +6,8 @@
 #include "multicore/multicore.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "core/collecting_listener.hpp"
@@ -27,19 +25,6 @@ namespace {
 /** Seed of the shared L2 (the historical single-core L2 seed). */
 constexpr std::uint64_t kSharedL2Seed = 17;
 
-/**
- * L2 banks the interval collection is sharded over.  Power of two,
- * capped by the set count; set index bits select the bank (the usual
- * low-order interleaving).  Purely an observation-side partition: the
- * cache itself is one instance, and the merged histogram is
- * byte-identical to a single collector over the whole frame space.
- */
-std::uint64_t
-l2_bank_count(const sim::CacheConfig &config)
-{
-    return std::min<std::uint64_t>(8, config.num_sets());
-}
-
 void
 add_cache_stats(sim::CacheStats &into, const sim::CacheStats &from)
 {
@@ -52,31 +37,38 @@ add_cache_stats(sim::CacheStats &into, const sim::CacheStats &from)
 class Engine;
 
 /**
- * Per-core access listener: feeds the core's own collectors through
- * the shared CollectingListener (same classification code as the
- * single-core engine), then routes the access to the engine for the
- * shared-L2 collectors and the invalidation directory.
+ * Per-core access listener for InOrderCore::run_with: feeds the core's
+ * own collectors and the shared-L2 collector through the shared
+ * CollectingListener (same classification code as the single-core
+ * engine), then routes data accesses to the engine's store snoop.
  */
-class NodeListener final : public cpu::AccessListener
+class NodeListener
 {
   public:
     NodeListener(Engine *engine, std::uint32_t core_id,
                  const sim::HierarchyConfig &config,
                  interval::IntervalCollector *icollector,
                  interval::IntervalCollector *dcollector,
+                 interval::IntervalCollector *l2collector,
                  prefetch::StridePredictor *stride, Cycles nl_lead_time)
         : engine_(engine), core_id_(core_id),
           inner_(config, icollector, dcollector, stride, nl_lead_time)
     {
-        // The inner listener never gets an L2 collector: the shared
-        // L2's population is owned by the engine's per-bank collectors
-        // (a per-core collector could not see other cores' touches).
+        // Every core feeds the one shared-L2 collector (null when L2
+        // collection is off): a per-core collector could not see the
+        // other cores' touches.
+        inner_.set_l2_collector(l2collector);
     }
 
-    void on_instr_access(Cycle cycle, Pc pc,
-                         const sim::HierarchyResult &result) override;
-    void on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                        const sim::HierarchyResult &result) override;
+    void
+    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
+    {
+        inner_.on_instr_access(cycle, pc, result);
+    }
+
+    void on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+                 const sim::HierarchyResult &result);
+    void on_group_end() {}
 
   private:
     Engine *engine_;
@@ -84,7 +76,7 @@ class NodeListener final : public cpu::AccessListener
     core::CollectingListener inner_;
 };
 
-/** The interleaver, the directory, and all per-core machinery. */
+/** The interleaver, the store snoop, and all per-core machinery. */
 class Engine
 {
   public:
@@ -92,29 +84,17 @@ class Engine
            const core::ExperimentConfig &config)
         : l2_(config.hierarchy.l2, kSharedL2Seed, config.sim_path),
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
-          l2_line_shift_(config.hierarchy.l2.line_shift()),
-          l2_ways_(config.hierarchy.l2.associativity),
-          banks_(l2_bank_count(config.hierarchy.l2)),
-          bank_mask_(banks_ - 1),
-          bank_shift_(static_cast<std::uint32_t>(
-              std::countr_zero(banks_)))
+          l2_line_shift_(config.hierarchy.l2.line_shift())
     {
         const auto edges = interval::IntervalHistogramSet::default_edges(
             config.extra_edges);
 
         if (config.collect_l2) {
-            const std::uint64_t frames_per_bank =
-                config.hierarchy.l2.num_frames() / banks_;
-            bank_sinks_.reserve(banks_);
-            bank_collectors_.reserve(banks_);
-            for (std::uint64_t b = 0; b < banks_; ++b) {
-                bank_sinks_.emplace_back(edges);
-                bank_collectors_.push_back(
-                    std::make_unique<interval::IntervalCollector>(
-                        frames_per_bank, &bank_sinks_.back()));
-            }
+            l2_sink_.emplace(edges);
+            l2_collector_.emplace(l2_.num_frames(), &*l2_sink_);
         }
 
+        owned_.assign(names.size(), kInvalidAddr);
         nodes_.reserve(names.size());
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(names.size()); ++i) {
@@ -134,14 +114,14 @@ class Engine
                 std::make_unique<prefetch::StridePredictor>(config.stride);
             node->listener = std::make_unique<NodeListener>(
                 this, i, config.hierarchy, node->icollector.get(),
-                node->dcollector.get(), node->stride.get(),
-                config.nl_lead_time);
+                node->dcollector.get(),
+                l2_collector_ ? &*l2_collector_ : nullptr,
+                node->stride.get(), config.nl_lead_time);
             node->workload = workload::make_benchmark(names[i]);
             node->core = std::make_unique<cpu::InOrderCore>(
-                config.core, node->hierarchy.get(), node->workload.get(),
-                node->listener.get());
+                config.core, node->hierarchy.get(), node->workload.get());
             node->remaining = config.instructions;
-            node->running = node->remaining != 0;
+            l1ds_.push_back(&node->hierarchy->l1d());
             nodes_.push_back(std::move(node));
         }
     }
@@ -149,88 +129,65 @@ class Engine
     MulticoreResult run();
 
     /**
-     * Shared-L2 observation hook: every L1 miss of every core touched
-     * the L2, closing the touched frame's open interval in its bank.
-     */
-    void
-    on_l2(Cycle cycle, const sim::HierarchyResult &result)
-    {
-        if (bank_collectors_.empty() || result.l1.hit)
-            return; // the L2 is only touched on L1 misses
-        observe_l2_frame(result.l2.frame, cycle, result.l2.hit);
-    }
-
-    /**
-     * Invalidation directory: maintain the per-block sharer bitmask
-     * from this L1D access, and on a store kill every other core's
-     * copy — closing their open L1D intervals, and the shared line's
-     * L2 interval when the store itself never reached the L2.
+     * Store snoop: a store by @p core_id kills every other core's L1D
+     * copy of its block, in core-id order — closing their open L1D
+     * intervals, and the shared line's L2 interval when the store
+     * itself never reached the L2.  A repeat store to the block this
+     * core last snooped skips the probes while no L1D miss has filled
+     * it since (see owned_): they could find no copy to kill.
      */
     void
     on_data(std::uint32_t core_id, Cycle cycle, Addr addr, bool is_store,
-            const sim::AccessResult &l1)
+            bool l1_hit)
     {
         const Addr block = addr >> l1d_line_shift_;
-        const std::uint64_t bit = std::uint64_t{1} << core_id;
-
-        if (!l1.hit && l1.evicted) {
-            // The victim left core_id's L1D without a coherence event;
-            // the directory tracks residency exactly, so its bit must
-            // be on.
-            auto victim = sharers_.find(l1.victim_block);
-            LEAKBOUND_ASSERT(victim != sharers_.end() &&
-                                 (victim->second & bit) != 0,
-                             "directory lost track of an evicted block");
-            victim->second &= ~bit;
-            if (victim->second == 0)
-                sharers_.erase(victim);
+        if (!l1_hit) {
+            for (Addr &owned : owned_) {
+                if (owned == block)
+                    owned = kInvalidAddr;
+            }
         }
-
-        std::uint64_t &mask = sharers_[block];
-        mask |= bit;
-        if (!is_store)
+        if (!is_store || owned_[core_id] == block)
             return;
-
-        std::uint64_t others = mask & ~bit;
-        if (others == 0)
-            return; // exclusive already; no coherence traffic
-
-        ++invalidating_stores_;
-        while (others != 0) {
-            const std::uint32_t j = static_cast<std::uint32_t>(
-                std::countr_zero(others));
-            others &= others - 1;
-            const FrameId frame =
-                nodes_[j]->hierarchy->l1d().invalidate_block(block);
-            LEAKBOUND_ASSERT(frame != kInvalidFrame,
-                             "directory named a non-resident sharer");
+        owned_[core_id] = block;
+        bool killed = false;
+        for (std::uint32_t j = 0; j < nodes_.size(); ++j) {
+            if (j == core_id)
+                continue;
+            const FrameId frame = l1ds_[j]->invalidate_block(block);
+            if (frame == kInvalidFrame)
+                continue;
+            Node &node = *nodes_[j];
             // The kill closes the victim frame's open interval — the
             // line must leave low-leakage state to be snooped/dropped —
             // with no reuse (the resident block is destroyed, not
             // served) and no prefetch class.
-            nodes_[j]->dcollector->on_access(frame, cycle,
-                                             /*reuse=*/false,
-                                             /*stride_predicted=*/false,
-                                             /*nl_covered=*/false);
-            ++nodes_[j]->invalidations_received;
+            node.dcollector->on_access(frame, cycle, /*reuse=*/false,
+                                       /*stride_predicted=*/false,
+                                       /*nl_covered=*/false);
+            ++node.invalidations_received;
             ++invalidations_;
+            killed = true;
         }
-        mask = bit; // the writer is now the sole sharer
+        if (!killed)
+            return; // exclusive already; no coherence traffic
+        ++invalidating_stores_;
 
         // A store that *missed* its L1D already touched the L2 through
-        // the access itself (on_l2 above); only an L1-hit store reaches
-        // the shared line purely through the coherence fabric.  The L2
-        // may no longer hold the line (no back-invalidation, so the
-        // hierarchy is not inclusive) — then there is no interval to
-        // close.
-        if (l1.hit && !bank_collectors_.empty()) {
+        // the access itself; only an L1-hit store reaches the shared
+        // line purely through the coherence fabric.  The L2 may no
+        // longer hold the line (no back-invalidation, so the hierarchy
+        // is not inclusive) — then there is no interval to close.
+        if (l1_hit && l2_collector_) {
             const Addr l2block =
                 (block << l1d_line_shift_) >> l2_line_shift_;
             const FrameId frame = l2_.frame_of_block(l2block);
             if (frame != kInvalidFrame) {
-                // The line stays resident in the L2 (the directory
-                // kill is about L1 copies), so this close is a reuse.
-                observe_l2_frame(frame, cycle, /*reuse=*/true);
+                // The line stays resident in the L2 (the snoop kills
+                // L1 copies), so this close is a reuse.
+                l2_collector_->on_access(frame, cycle, /*reuse=*/true,
+                                         /*stride_predicted=*/false,
+                                         /*nl_covered=*/false);
                 ++l2_interval_closes_;
             }
         }
@@ -249,112 +206,93 @@ class Engine
         std::unique_ptr<NodeListener> listener;
         workload::WorkloadPtr workload;
         std::unique_ptr<cpu::InOrderCore> core;
-        std::uint64_t remaining = 0;
-        bool running = false;
+        std::uint64_t remaining = 0; ///< 0 once the core has stopped
         cpu::CoreRunStats stats; ///< accumulated deltas; cycles at end
         std::uint64_t invalidations_received = 0;
     };
 
-    /** Route a shared-L2 frame event into its bank's collector. */
-    void
-    observe_l2_frame(FrameId frame, Cycle cycle, bool reuse)
-    {
-        const std::uint64_t set = frame / l2_ways_;
-        const std::uint64_t way = frame % l2_ways_;
-        const std::uint64_t bank = set & bank_mask_;
-        const FrameId local = static_cast<FrameId>(
-            (set >> bank_shift_) * l2_ways_ + way);
-        bank_collectors_[bank]->on_access(local, cycle, reuse,
-                                          /*stride_predicted=*/false,
-                                          /*nl_covered=*/false);
-    }
-
     sim::Cache l2_;
     std::uint32_t l1d_line_shift_;
     std::uint32_t l2_line_shift_;
-    std::uint64_t l2_ways_;
-    std::uint64_t banks_;
-    std::uint64_t bank_mask_;
-    std::uint32_t bank_shift_;
-    std::vector<interval::IntervalHistogramSet> bank_sinks_;
-    std::vector<std::unique_ptr<interval::IntervalCollector>>
-        bank_collectors_;
+    std::optional<interval::IntervalHistogramSet> l2_sink_;
+    std::optional<interval::IntervalCollector> l2_collector_;
     std::vector<std::unique_ptr<Node>> nodes_;
     /**
-     * The sparse directory: L1D block number -> bitmask of cores whose
-     * L1D holds the block.  Maintained exactly from each access result
-     * (fill sets the bit, eviction and invalidation clear it), so a
-     * lookup never over- or under-reports sharers.
+     * Per core, the L1D block of its last snooping store, or
+     * kInvalidAddr once an L1D miss of any core has filled it since.
+     * While set, no other L1D holds the block: the snoop killed every
+     * copy, and a new copy needs a fill, which clears the entry.
      */
-    std::unordered_map<Addr, std::uint64_t> sharers_;
+    std::vector<Addr> owned_;
+    std::vector<sim::Cache *> l1ds_; ///< each node's L1D, for the snoop
     std::uint64_t invalidations_ = 0;
     std::uint64_t invalidating_stores_ = 0;
     std::uint64_t l2_interval_closes_ = 0;
 };
 
 void
-NodeListener::on_instr_access(Cycle cycle, Pc pc,
-                              const sim::HierarchyResult &result)
-{
-    inner_.on_instr_access(cycle, pc, result);
-    engine_->on_l2(cycle, result);
-}
-
-void
-NodeListener::on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
-                             const sim::HierarchyResult &result)
+NodeListener::on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+                      const sim::HierarchyResult &result)
 {
     inner_.on_data_access(cycle, pc, addr, is_store, result);
-    engine_->on_l2(cycle, result);
-    engine_->on_data(core_id_, cycle, addr, is_store, result.l1);
+    engine_->on_data(core_id_, cycle, addr, is_store, result.l1.hit);
 }
 
 MulticoreResult
 Engine::run()
 {
-    // One fetch group per step: the hook fires after the first group
-    // and stops the run, with the stream position preserved for the
-    // next step.  Hooked runs disable fetch batching, but the op
-    // stream and timing are contractually identical either way (see
-    // InOrderCore::set_batch_fetch), which the N=1 byte-identity test
-    // pins down.
-    const cpu::InOrderCore::GroupHook one_group =
-        [](const cpu::CoreRunStats &) { return false; };
-
     for (;;) {
-        // Step the core with the minimum (cycle, core_id): the strict
-        // < over an in-order scan breaks cycle ties toward the lower
-        // id, so the event interleaving is a pure function of the
-        // configuration.  Because the minimum only ever increases,
-        // every event — including cross-core invalidations landing in
-        // other cores' collectors — carries a globally non-decreasing
-        // cycle stamp, which is what the collectors' time-ordering
-        // invariant requires.
-        Node *next = nullptr;
-        for (auto &node : nodes_) {
-            if (node->running &&
-                (!next || node->core->cycle() < next->core->cycle())) {
-                next = node.get();
+        // Step the core with the minimum (cycle, core_id) and find the
+        // runner-up: the strict < over an in-order scan breaks cycle
+        // ties toward the lower id.  The stepped core keeps the minimum
+        // — the other cores' clocks are frozen while it runs — until
+        // its clock reaches the runner-up's (one cycle past it when the
+        // stepped core's id is lower), so running it up to that stop
+        // cycle produces exactly the event order of stepping the
+        // minimum one fetch group at a time.  Because the minimum only
+        // ever increases, every event — including cross-core
+        // invalidations landing in other cores' collectors — carries a
+        // globally non-decreasing cycle stamp, which is what the
+        // collectors' time-ordering invariant requires.
+        const std::size_t none = nodes_.size();
+        std::size_t next = none;
+        std::size_t runner_up = none;
+        Cycle first = cpu::InOrderCore::kNeverStop;
+        Cycle second = cpu::InOrderCore::kNeverStop;
+        for (std::size_t j = 0; j < nodes_.size(); ++j) {
+            if (nodes_[j]->remaining == 0)
+                continue;
+            const Cycle cycle = nodes_[j]->core->cycle();
+            if (cycle < first) {
+                second = first;
+                runner_up = next;
+                first = cycle;
+                next = j;
+            } else if (cycle < second) {
+                second = cycle;
+                runner_up = j;
             }
         }
-        if (!next)
+        if (next == none)
             break;
 
+        const Cycle stop = runner_up == none
+                               ? cpu::InOrderCore::kNeverStop
+                               : second + (next < runner_up ? 1 : 0);
+        Node &node = *nodes_[next];
         const cpu::CoreRunStats delta =
-            next->core->run(next->remaining, one_group);
+            node.core->run_with(node.remaining, *node.listener, stop);
         if (delta.instructions == 0) {
-            next->running = false; // finite workload exhausted
+            node.remaining = 0; // finite workload exhausted
             continue;
         }
-        next->stats.instructions += delta.instructions;
-        next->stats.fetch_groups += delta.fetch_groups;
-        next->stats.loads += delta.loads;
-        next->stats.stores += delta.stores;
-        next->stats.instr_stall_cycles += delta.instr_stall_cycles;
-        next->stats.data_stall_cycles += delta.data_stall_cycles;
-        next->remaining -= delta.instructions;
-        if (next->remaining == 0)
-            next->running = false;
+        node.stats.instructions += delta.instructions;
+        node.stats.fetch_groups += delta.fetch_groups;
+        node.stats.loads += delta.loads;
+        node.stats.stores += delta.stores;
+        node.stats.instr_stall_cycles += delta.instr_stall_cycles;
+        node.stats.data_stall_cycles += delta.data_stall_cycles;
+        node.remaining -= delta.instructions;
     }
 
     Cycle end_cycle = 0;
@@ -391,16 +329,10 @@ Engine::run()
     result.sim_path_effective = core::sim_path_effective_name(
         kernel_caches, 2 * nodes_.size() + 1);
 
-    if (!bank_collectors_.empty()) {
-        for (std::uint64_t b = 0; b < banks_; ++b)
-            bank_collectors_[b]->finalize(end_cycle);
-        core::CacheObservation merged(
-            interval::IntervalHistogramSet(bank_sinks_.front()));
-        for (std::uint64_t b = 1; b < banks_; ++b)
-            merged.intervals.merge(bank_sinks_[b]);
-        merged.stats = l2_.stats();
-        result.l2cache.emplace(std::move(merged));
-        result.l2_banks = std::move(bank_sinks_);
+    if (l2_collector_) {
+        l2_collector_->finalize(end_cycle);
+        result.l2cache.emplace(std::move(*l2_sink_));
+        result.l2cache->stats = l2_.stats();
     }
     return result;
 }

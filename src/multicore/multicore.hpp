@@ -1,24 +1,28 @@
 /**
  * @file
  * Multi-core shared-L2 simulator: N in-order cores with private L1s
- * over one shared L2, an MSI-style invalidation filter between the
- * L1Ds, and a deterministic cycle interleaver.
+ * over one shared L2, store-snoop invalidation between the L1Ds, and a
+ * deterministic cycle interleaver.
  *
  * The engine is the multicore counterpart of core::run_experiment:
  * per-core interval populations come from per-core collectors driven
  * by the exact CollectingListener the single-core engine uses, and the
- * shared L2's population comes from per-bank collectors whose merged
- * histogram is what the oracle bound is computed from.  An L2 line's
- * sleep interval ends when *any* core touches it through a miss or
- * kills a sharer's copy through the invalidation filter.
+ * shared L2's population comes from one collector over all its frames,
+ * the histogram the oracle bound is computed from.  An L2 line's sleep
+ * interval ends when *any* core touches it through a miss or kills a
+ * sharer's copy with a store.
  *
  * Determinism contract: the interleaver is a single-threaded loop that
- * always steps the core with the minimum (cycle, core_id) pair by
- * exactly one fetch group, so the event order — and therefore every
- * histogram, statistic, and serialized byte — is a pure function of
- * the configuration.  Results are byte-identical across --jobs values
- * and across runs, and the N=1 configuration reduces exactly to the
- * single-core engine (test_multicore_equivalence proves both).
+ * runs the core with the minimum (cycle, core_id) pair through the
+ * kernel run loop (InOrderCore::run_with) until another core becomes
+ * the minimum.  The other cores' clocks are frozen meanwhile, so the
+ * event order is exactly the one-fetch-group-per-step order, and every
+ * histogram, statistic, and serialized byte is a pure function of the
+ * configuration.  A store snoops the other cores' L1Ds in core-id
+ * order, except a repeat store to a block no L1D has filled since the
+ * core's last snoop of it.  Results are byte-identical across --jobs
+ * values and across runs, and the N=1 configuration reduces exactly to
+ * the single-core engine (test_multicore_equivalence proves both).
  */
 
 #ifndef LEAKBOUND_MULTICORE_MULTICORE_HPP
@@ -30,7 +34,6 @@
 
 #include "core/experiment.hpp"
 #include "cpu/inorder_core.hpp"
-#include "interval/interval_histogram.hpp"
 #include "sim/cache.hpp"
 
 namespace leakbound::multicore {
@@ -69,19 +72,13 @@ struct MulticoreResult
     /** One entry per core, in core-id order. */
     std::vector<CoreOutcome> cores;
     /**
-     * The shared L2's merged interval population (union of the
-     * per-bank collectors), present when collect_l2 was set.
+     * The shared L2's interval population (one collector over all its
+     * frames), present when collect_l2 was set.
      */
     std::optional<core::CacheObservation> l2cache;
-    /**
-     * The per-bank L2 histogram sets the merged population came from
-     * (empty unless collect_l2); exposed for the invalidation-
-     * accounting property tests.
-     */
-    std::vector<interval::IntervalHistogramSet> l2_banks;
     sim::CacheStats l2;     ///< shared-L2 statistics
     Cycle end_cycle = 0;    ///< max core cycle; every collector's close
-    /** L1D copies killed through the invalidation filter, in total. */
+    /** L1D copies killed by store snoops, in total. */
     std::uint64_t invalidations = 0;
     /** Stores that killed at least one remote copy. */
     std::uint64_t invalidating_stores = 0;

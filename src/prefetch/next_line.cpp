@@ -11,11 +11,6 @@
 
 namespace leakbound::prefetch {
 
-NextLineMonitor::NextLineMonitor(std::size_t expected_blocks)
-    : last_access_(expected_blocks * 2)
-{
-}
-
 bool
 NextLineMonitor::covers(Addr block, Cycle open_since) const
 {
@@ -23,35 +18,58 @@ NextLineMonitor::covers(Addr block, Cycle open_since) const
                   std::numeric_limits<Cycle>::max(), 0);
 }
 
+std::size_t
+NextLineMonitor::add_page(Addr page)
+{
+    const std::size_t base = stamps_.size();
+    stamps_.resize(base + kPageMask + 1, 0);
+    directory_.put(page, base);
+    memo_page_ = page;
+    memo_base_ = base;
+    return base;
+}
+
 void
 NextLineMonitor::append_state(std::vector<std::uint64_t> &out,
                               Cycle now) const
 {
-    // FlatMap slot order depends on insertion history, so sort by key.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-    entries.reserve(last_access_.size());
-    last_access_.for_each([&](std::uint64_t block, std::uint64_t when) {
-        entries.emplace_back(block, now - when);
+    // Pages sit in stamps_ in creation order, so sort them by number.
+    std::vector<std::pair<Addr, std::uint64_t>> pages;
+    pages.reserve(directory_.size());
+    directory_.for_each([&](std::uint64_t page, std::uint64_t base) {
+        pages.emplace_back(page, base);
     });
-    std::sort(entries.begin(), entries.end());
-    out.push_back(entries.size());
-    for (const auto &[block, age] : entries) {
-        out.push_back(block);
-        out.push_back(age);
+    std::sort(pages.begin(), pages.end());
+    const std::size_t count_at = out.size();
+    out.push_back(0);
+    std::uint64_t count = 0;
+    for (const auto &[page, base] : pages) {
+        for (Addr i = 0; i <= kPageMask; ++i) {
+            const std::uint64_t stamp = stamps_[base + i];
+            if (stamp == 0)
+                continue;
+            out.push_back((page << kPageShift) | i);
+            out.push_back(now - (stamp - 1));
+            ++count;
+        }
     }
+    out[count_at] = count;
 }
 
 void
 NextLineMonitor::warp(Cycles delta)
 {
-    last_access_.for_each_mut(
-        [delta](std::uint64_t, std::uint64_t &when) { when += delta; });
+    for (std::uint64_t &stamp : stamps_)
+        if (stamp != 0)
+            stamp += delta;
 }
 
 void
 NextLineMonitor::reset()
 {
-    last_access_.clear();
+    directory_.clear();
+    stamps_.clear();
+    memo_page_ = kInvalidAddr;
     covered_ = 0;
 }
 

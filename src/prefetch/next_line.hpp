@@ -23,21 +23,29 @@
 
 namespace leakbound::prefetch {
 
-/** Tracks per-block last access times for next-line coverage tests. */
+/**
+ * Tracks per-block last access times for next-line coverage tests.
+ *
+ * Storage is paged: each 64-block page is a dense array of stamps
+ * (cycle + 1, so 0 means never accessed), found through a small
+ * page-number directory.  Workload footprints are runs of adjacent
+ * blocks, so a page costs 8 bytes per block where a per-block hash
+ * slot cost several times that, and the block-1 probe of covers()
+ * almost always lands on the page record() is about to write — a
+ * one-page memo skips the directory for both.
+ */
 class NextLineMonitor
 {
   public:
-    /**
-     * @param expected_blocks sizing hint for the underlying table.
-     * The table grows automatically, so the default stays small: two
-     * monitors are built per experiment, and pre-filling a
-     * multi-megabyte table dominated short runs (profiled at half the
-     * end-to-end pipeline time before the growth path was trusted).
-     */
-    explicit NextLineMonitor(std::size_t expected_blocks = 1 << 10);
-
     /** Record an access to @p block at @p cycle. */
-    void record(Addr block, Cycle cycle) { last_access_.put(block, cycle); }
+    void
+    record(Addr block, Cycle cycle)
+    {
+        std::size_t base = find_page(block >> kPageShift);
+        if (base == kNoPage)
+            base = add_page(block >> kPageShift);
+        stamps_[base + (block & kPageMask)] = cycle + 1;
+    }
 
     /**
      * Would a next-line prefetcher cover an access to @p block closing
@@ -59,9 +67,14 @@ class NextLineMonitor
     {
         if (block == 0)
             return false;
-        std::uint64_t when;
-        if (!last_access_.get(block - 1, when))
+        const Addr prev = block - 1;
+        const std::size_t base = find_page(prev >> kPageShift);
+        if (base == kNoPage)
             return false;
+        const std::uint64_t stamp = stamps_[base + (prev & kPageMask)];
+        if (stamp == 0)
+            return false;
+        const Cycle when = stamp - 1;
         const Cycle deadline =
             close_cycle >= lead_time ? close_cycle - lead_time : 0;
         const bool hit = when > open_since && when <= deadline;
@@ -91,7 +104,33 @@ class NextLineMonitor
     void warp(Cycles delta);
 
   private:
-    util::FlatMap last_access_;
+    static constexpr unsigned kPageShift = 6;
+    static constexpr Addr kPageMask = (Addr{1} << kPageShift) - 1;
+    static constexpr std::size_t kNoPage = ~std::size_t{0};
+
+    /** Offset of @p page's stamps in stamps_ (kNoPage when absent). */
+    std::size_t
+    find_page(Addr page) const
+    {
+        if (page == memo_page_)
+            return memo_base_;
+        std::uint64_t base;
+        if (!directory_.get(page, base))
+            return kNoPage;
+        memo_page_ = page;
+        memo_base_ = base;
+        return base;
+    }
+
+    /** Append an all-never page for @p page; returns its offset. */
+    std::size_t add_page(Addr page);
+
+    util::FlatMap directory_{16}; ///< page number -> stamps_ offset
+    std::vector<std::uint64_t> stamps_; ///< cycle + 1 per block; 0 = never
+    // The memo moves on lookups, which covers() makes from a const
+    // context.
+    mutable Addr memo_page_ = kInvalidAddr;
+    mutable std::size_t memo_base_ = 0;
     mutable std::uint64_t covered_ = 0;
 };
 

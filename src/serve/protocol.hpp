@@ -105,7 +105,7 @@ struct StatsSnapshot
     /** sim_runs broken down by effective decision-logic lane. */
     std::uint64_t kernel_path_runs = 0;    ///< every cache kernelized
     std::uint64_t reference_path_runs = 0; ///< every cache on reference
-    std::uint64_t mixed_path_runs = 0;     ///< lanes disagreed (16-way L2)
+    std::uint64_t mixed_path_runs = 0;     ///< lanes disagreed (>16-way cache)
     std::uint64_t rejected_overloaded = 0;
     std::uint64_t rejected_deadline = 0; ///< shed: deadline unmeetable
     std::uint64_t rejected_shutting_down = 0;

@@ -291,7 +291,7 @@ Scheduler::execute(const core::ExperimentRequest &request,
                 ++simulated;
             // Which decision-logic lane the fresh simulation actually
             // took (the kernel silently falls back to reference logic
-            // for geometries it cannot pack, e.g. a 16-way L2).
+            // for geometries it cannot pack, wider than 16 ways).
             if (slot->sim_path_effective == "kernel")
                 ++kernel_lane;
             else if (slot->sim_path_effective == "reference")

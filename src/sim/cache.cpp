@@ -14,8 +14,8 @@ namespace leakbound::sim {
 
 namespace {
 
-/** Widest associativity one 64-bit rank word can pack. */
-constexpr std::uint32_t kMaxKernelWays = 8;
+/** Widest associativity one 64-bit rank word can pack (4-bit ranks). */
+constexpr std::uint32_t kMaxKernelWays = 16;
 
 } // namespace
 
@@ -85,35 +85,6 @@ Cache::access_reference(Addr addr)
     return result;
 }
 
-FrameId
-Cache::frame_of_block(Addr block) const
-{
-    const std::uint64_t base = (block & set_mask_) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (valid_[base + w] && tags_[base + w] == block)
-            return static_cast<FrameId>(base + w);
-    }
-    return kInvalidFrame;
-}
-
-FrameId
-Cache::invalidate_block(Addr block)
-{
-    const FrameId frame = frame_of_block(block);
-    if (frame == kInvalidFrame)
-        return kInvalidFrame;
-    valid_[frame] = 0;
-    tags_[frame] = kInvalidAddr;
-    // The same-block filter must forget an invalidated block, or the
-    // next access to it would short-circuit into a phantom hit on a
-    // frame that no longer holds it.
-    if (block == last_block_) {
-        last_block_ = kInvalidAddr;
-        last_frame_ = kInvalidFrame;
-    }
-    return frame;
-}
-
 Addr
 Cache::block_in_frame(FrameId frame) const
 {
@@ -140,7 +111,7 @@ Cache::append_state(std::vector<std::uint64_t> &out) const
     if (valid_.size() & 63)
         out.push_back(word);
     if (kernel_) {
-        // The rank word *is* the canonical recency permutation: byte p
+        // The rank word *is* the canonical recency permutation: nibble p
         // holds the way at rank p, exactly the sequence the reference
         // policies' append_rank_state emits (stamps sorted ascending,
         // ties toward the lower way).
@@ -148,7 +119,7 @@ Cache::append_state(std::vector<std::uint64_t> &out) const
             return false;
         for (const std::uint64_t r : rank_)
             for (std::uint32_t p = 0; p < ways_; ++p)
-                out.push_back((r >> (8 * p)) & 0xff);
+                out.push_back((r >> (4 * p)) & 0xf);
         return true;
     }
     return repl_->append_state(out);

@@ -10,7 +10,8 @@
  *
  * Two implementations of the per-access decision logic coexist (see
  * SimMode in cache_config.hpp): the devirtualized *kernel*, which
- * packs a set's recency order into one 64-bit rank word and inlines
+ * packs a set's recency order (up to 16 ways, one nibble per rank)
+ * into one 64-bit rank word and inlines
  * the replacement update per ReplacementKind, and the *reference*
  * path, which drives the virtual ReplacementPolicy objects.  They are
  * byte-identical in every observable; debug builds additionally run
@@ -69,7 +70,7 @@ class Cache
     /**
      * @param config validated geometry; @param seed for Random repl.
      * @param mode kernel vs reference decision logic (byte-identical;
-     *        geometries the kernel cannot pack — more than 8 ways —
+     *        geometries the kernel cannot pack — more than 16 ways —
      *        silently run the reference logic).
      */
     explicit Cache(const CacheConfig &config, std::uint64_t seed = 1,
@@ -96,7 +97,18 @@ class Cache
      * Frame currently holding @p block (a block number, not a byte
      * address); kInvalidFrame when not resident.
      */
-    FrameId frame_of_block(Addr block) const;
+    FrameId
+    frame_of_block(Addr block) const
+    {
+        const std::uint64_t base = (block & set_mask_) * ways_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            // Tag first: an invalid frame's tag is kInvalidAddr, so a
+            // probe that misses (most snoops) never reads validity.
+            if (tags_[base + w] == block && valid_[base + w])
+                return static_cast<FrameId>(base + w);
+        }
+        return kInvalidFrame;
+    }
 
     /** Block number resident in @p frame; kInvalidAddr when invalid. */
     Addr block_in_frame(FrameId frame) const;
@@ -104,7 +116,7 @@ class Cache
     /**
      * Invalidate the copy of @p block (a block number, not a byte
      * address) held by this cache — the coherence action another
-     * requester's store triggers through the directory.  Returns the
+     * requester's store triggers by snooping.  Returns the
      * frame that held the block, or kInvalidFrame when it was not
      * resident.  Replacement state is deliberately left untouched:
      * both decision paths prefer an invalid way over a policy victim,
@@ -113,7 +125,23 @@ class Cache
      * untouched too — an invalidation is not an access by this cache's
      * requester.
      */
-    FrameId invalidate_block(Addr block);
+    FrameId
+    invalidate_block(Addr block)
+    {
+        const FrameId frame = frame_of_block(block);
+        if (frame == kInvalidFrame)
+            return kInvalidFrame;
+        valid_[frame] = 0;
+        tags_[frame] = kInvalidAddr;
+        // The same-block filter must forget an invalidated block, or
+        // the next access to it would short-circuit into a phantom hit
+        // on a frame that no longer holds it.
+        if (block == last_block_) {
+            last_block_ = kInvalidAddr;
+            last_frame_ = kInvalidFrame;
+        }
+        return frame;
+    }
 
     /** Geometry. */
     const CacheConfig &config() const { return config_; }
@@ -145,48 +173,49 @@ class Cache
     AccessResult access_reference(Addr addr);
 
     /**
-     * Recency rank word of one set: byte p holds the way at recency
+     * Recency rank word of one set: nibble p holds the way at recency
      * position p (position 0 = next victim, position ways-1 = MRU);
-     * bytes at and above `ways` hold the 0xFF filler, which can never
-     * equal a way index.  The initial ascending order 0,1,...,ways-1
-     * matches the reference tie-break (untouched ways all carry stamp
-     * 0 and sort ascending by way).
+     * nibbles at and above `ways` hold the 0xF filler, which can never
+     * equal a way index (a full 16-way word has no filler).  The
+     * initial ascending order 0,1,...,ways-1 matches the reference
+     * tie-break (untouched ways all carry stamp 0 and sort ascending
+     * by way).
      */
     static std::uint64_t
     initial_rank(std::uint32_t ways)
     {
         std::uint64_t word = ~std::uint64_t{0};
         for (std::uint32_t w = ways; w-- > 0;)
-            word = (word << 8) | w;
+            word = (word << 4) | w;
         return word;
     }
 
     /**
      * Move @p way to the MRU position of rank word @p r (@p mru =
      * ways - 1), sliding the ways above its current position down one
-     * rank.  The way's position is found with the zero-byte trick: the
-     * lowest flagged byte of `(x - 0x01..) & ~x & 0x80..` is exactly
-     * the lowest zero byte of x (false positives only occur above it),
-     * and every way index appears in the word exactly once.
+     * rank.  The way's position is found with the zero-nibble trick:
+     * the lowest flagged nibble of `(x - 0x11..) & ~x & 0x88..` is
+     * exactly the lowest zero nibble of x (false positives only occur
+     * above it), and every way index appears in the word exactly once.
      */
     static std::uint64_t
     touch_rank(std::uint64_t r, std::uint32_t way, std::uint32_t mru)
     {
-        constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+        constexpr std::uint64_t kOnes = 0x1111111111111111ULL;
         const std::uint64_t x = r ^ (kOnes * way);
         const std::uint64_t z =
-            (x - kOnes) & ~x & 0x8080808080808080ULL;
-        const unsigned p = static_cast<unsigned>(std::countr_zero(z)) >> 3;
+            (x - kOnes) & ~x & 0x8888888888888888ULL;
+        const unsigned p = static_cast<unsigned>(std::countr_zero(z)) >> 2;
         if (p >= mru)
             return r; // already MRU (also the whole ways == 1 case)
-        // mru <= 7, p <= mru - 1 <= 6: all shifts below stay < 64.
-        const std::uint64_t below = (std::uint64_t{1} << (8 * p)) - 1;
+        // mru <= 15, p <= mru - 1 <= 14: all shifts below stay < 64.
+        const std::uint64_t below = (std::uint64_t{1} << (4 * p)) - 1;
         const std::uint64_t upto_mru =
-            (std::uint64_t{1} << (8 * mru)) - 1;
+            (std::uint64_t{1} << (4 * mru)) - 1;
         return (r & below)                       // ranks below p
-               | ((r >> 8) & (upto_mru & ~below)) // old p+1..mru slide down
-               | (static_cast<std::uint64_t>(way) << (8 * mru))
-               | (r & ((~std::uint64_t{0} << (8 * mru)) << 8)); // filler
+               | ((r >> 4) & (upto_mru & ~below)) // old p+1..mru slide down
+               | (static_cast<std::uint64_t>(way) << (4 * mru))
+               | (r & ((~std::uint64_t{0} << (4 * mru)) << 4)); // filler
     }
 
     /** The devirtualized decision logic, specialized per policy. */
@@ -255,7 +284,7 @@ class Cache
                 way = static_cast<std::uint32_t>(
                     kernel_rng_.next_below(ways_));
             else
-                way = static_cast<std::uint32_t>(rank_[set] & 0xff);
+                way = static_cast<std::uint32_t>(rank_[set] & 0xf);
 #ifndef NDEBUG
             LEAKBOUND_ASSERT(repl_->victim_way(set) == way,
                              "kernel victim diverged from the reference "

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/inflection.hpp"
 #include "power/technology.hpp"
@@ -23,6 +24,15 @@ struct Table1Row
     Cycles active_drowsy;
     Cycles drowsy_sleep;
 };
+
+// Without a printer gtest dumps the raw bytes, padding included, and
+// the uninitialized padding leaks into the ctest-discovered test names.
+void
+PrintTo(const Table1Row &row, std::ostream *os)
+{
+    *os << power::node_name(row.node) << " a=" << row.active_drowsy
+        << " b=" << row.drowsy_sleep;
+}
 
 } // namespace
 

@@ -17,8 +17,8 @@
  *  - Experiment level: 1000 seeded random LoopPrograms (RNG-fed
  *    patterns included, unlike the analytic fuzzer — the kernel has no
  *    eligibility gate) across random geometries and all three
- *    ReplacementKinds, including ways > 8 shapes where the kernel
- *    silently runs the reference decision logic.  On a mismatch the
+ *    ReplacementKinds, including the 16-way shapes that fill a whole
+ *    nibble-packed rank word.  On a mismatch the
  *    failing seed is printed with a greedily minimized program.
  *
  *  - Bare cache level: identical address streams driven through a
@@ -141,9 +141,9 @@ random_hierarchy(util::Rng &rng)
 
     h.l2.name = "kz-l2";
     h.l2.line_bytes = line;
-    // 1..16 ways: the 16-way draw runs the reference logic inside a
-    // Kernel-mode cache (cannot pack a rank word), so the fallback
-    // seam is part of the fuzzed surface.
+    // 1..16 ways: the 16-way draw fills every nibble of the rank
+    // word, so the widest packable geometry is part of the fuzzed
+    // surface.
     h.l2.associativity = 1u << rng.next_below(5);
     h.l2.size_bytes =
         (8192u << rng.next_below(3)) * h.l2.associativity;
@@ -331,7 +331,7 @@ random_cache(util::Rng &rng, sim::ReplacementKind kind)
     sim::CacheConfig c;
     c.name = "kz-bare";
     c.line_bytes = 16u << rng.next_below(3); // 16, 32, 64
-    c.associativity = 1u << rng.next_below(4); // 1..8 (packable)
+    c.associativity = 1u << rng.next_below(5); // 1..16 (packable)
     c.size_bytes = (c.line_bytes * c.associativity)
                    << rng.next_below(4); // 1..8 sets
     c.hit_latency = 1;
@@ -414,32 +414,40 @@ TEST(KernelEquivalence, BareCacheStreamsMatch)
 }
 
 /**
- * Geometries the kernel cannot pack (ways > 8) silently run the
- * reference logic — and must still match a Reference-mode twin.
+ * 16 ways is the widest geometry the nibble-packed rank word holds:
+ * it runs the kernel.  Wider geometries (32 ways) silently run the
+ * reference logic.  Both must match a Reference-mode twin.
  */
 TEST(KernelEquivalence, WideSetsFallBackToReference)
 {
-    sim::CacheConfig config;
-    config.name = "kz-wide";
-    config.line_bytes = 32;
-    config.associativity = 16;
-    config.size_bytes = 32u * 16 * 4; // 4 sets
-    config.hit_latency = 1;
-    for (const sim::ReplacementKind kind :
-         {sim::ReplacementKind::Lru, sim::ReplacementKind::Fifo,
-          sim::ReplacementKind::Random}) {
-        config.replacement = kind;
-        sim::Cache kernel(config, 99, sim::SimMode::Kernel);
-        sim::Cache reference(config, 99, sim::SimMode::Reference);
-        EXPECT_FALSE(kernel.kernel_active());
-        util::Rng rng(4242);
-        for (std::uint64_t i = 0; i < 50'000; ++i) {
-            const Addr addr = rng.next_below(config.size_bytes * 6);
-            const sim::AccessResult k = kernel.access(addr);
-            const sim::AccessResult r = reference.access(addr);
-            ASSERT_EQ(k.hit, r.hit) << "access " << i;
-            ASSERT_EQ(k.frame, r.frame) << "access " << i;
-            ASSERT_EQ(k.victim_block, r.victim_block) << "access " << i;
+    for (const std::uint32_t ways : {16u, 32u}) {
+        sim::CacheConfig config;
+        config.name = "kz-wide";
+        config.line_bytes = 32;
+        config.associativity = ways;
+        config.size_bytes = 32u * ways * 4; // 4 sets
+        config.hit_latency = 1;
+        for (const sim::ReplacementKind kind :
+             {sim::ReplacementKind::Lru, sim::ReplacementKind::Fifo,
+              sim::ReplacementKind::Random}) {
+            config.replacement = kind;
+            sim::Cache kernel(config, 99, sim::SimMode::Kernel);
+            sim::Cache reference(config, 99, sim::SimMode::Reference);
+            EXPECT_EQ(kernel.kernel_active(), ways <= 16) << ways;
+            util::Rng rng(4242);
+            for (std::uint64_t i = 0; i < 50'000; ++i) {
+                const Addr addr = rng.next_below(config.size_bytes * 6);
+                const sim::AccessResult k = kernel.access(addr);
+                const sim::AccessResult r = reference.access(addr);
+                ASSERT_EQ(k.hit, r.hit) << ways << "w access " << i;
+                ASSERT_EQ(k.frame, r.frame) << ways << "w access " << i;
+                ASSERT_EQ(k.victim_block, r.victim_block)
+                    << ways << "w access " << i;
+            }
+            std::vector<std::uint64_t> ks;
+            std::vector<std::uint64_t> rs;
+            ASSERT_EQ(kernel.append_state(ks), reference.append_state(rs));
+            EXPECT_EQ(ks, rs) << ways << "w";
         }
     }
 }

@@ -6,12 +6,13 @@
  *    byte-identical (core::serialize_result) to the single-core
  *    engine's, with and without L2 collection;
  *  - determinism: a multicore suite run is byte-identical between
- *    --jobs 1 and --jobs 4;
+ *    --jobs 1 and --jobs 4, and two fixed 4-core mixes over a 16-way
+ *    L2 keep pinned serialize_result digests;
  *  - invalidation accounting (seed-fuzzed): every interval boundary
  *    of every collector is attributable — per-core L1 populations
  *    close one interval per access plus one per invalidation
- *    received, the shared L2's merged population closes one per L2
- *    access plus one per invalidation-driven close, and the
+ *    received, the shared L2's population closes one per L2 access
+ *    plus one per invalidation-driven close, and the
  *    invalidation totals reconcile across cores;
  *  - oracle dominance: the generalized-model bounds computed from
  *    multicore populations dominate every stock policy in the zoo,
@@ -45,6 +46,7 @@
 #include "multicore/multicore.hpp"
 #include "power/technology.hpp"
 #include "util/fault_injection.hpp"
+#include "util/fingerprint.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
 #include "util/status.hpp"
@@ -145,7 +147,7 @@ TEST(MulticoreReduction, N1IsByteIdenticalToTheSingleCoreEngine)
 TEST(MulticoreReduction, N1ReferencePathAlsoReduces)
 {
     // The same reduction must hold on the virtual-dispatch reference
-    // lane (the one a >8-way cache silently falls back to).
+    // lane (the one a >16-way cache silently falls back to).
     core::ExperimentConfig config = small_config(60'000);
     config.sim_path = sim::SimMode::Reference;
     const std::string single = single_core_bytes("gzip", config);
@@ -231,15 +233,42 @@ TEST(MulticoreAccounting, EveryIntervalBoundaryIsAttributable)
         EXPECT_EQ(run.l2cache->intervals.total_intervals(),
                   run.l2.accesses + run.l2_interval_closes +
                       run.l2cache->intervals.num_frames());
+    }
+}
 
-        // The merged population is exactly the union of the banks.
-        std::uint64_t bank_intervals = 0, bank_frames = 0;
-        for (const interval::IntervalHistogramSet &bank : run.l2_banks) {
-            bank_intervals += bank.total_intervals();
-            bank_frames += bank.num_frames();
-        }
-        EXPECT_EQ(bank_intervals, run.l2cache->intervals.total_intervals());
-        EXPECT_EQ(bank_frames, run.l2cache->intervals.num_frames());
+TEST(MulticoreDeterminism, DigestsArePinned)
+{
+    // The ledger's two multicore_mix mixes at small budgets: the
+    // serialized result and the coherence counters must not move when
+    // the engine's stepping, snooping or L2 collection is reworked.
+    struct Pin
+    {
+        std::vector<std::string> mix;
+        std::uint64_t fnv;
+        std::uint64_t invalidations;
+        std::uint64_t l2_interval_closes;
+    };
+    const std::vector<Pin> pins = {
+        {{"gcc", "gzip", "mesa", "vortex"}, 0xe374dc6cd6b5992cULL, 1698,
+         877},
+        {std::vector<std::string>(4, "vortex"), 0x620d098576b6a1b8ULL,
+         24752, 5876},
+    };
+    for (const Pin &pin : pins) {
+        core::ExperimentConfig config = small_config(50'000);
+        config.core_count = 4;
+        config.workload_mix = pin.mix;
+        config.hierarchy.l2.associativity = 16;
+        config.collect_l2 = true;
+        const auto run = multicore::run_multicore(pin.mix.front(), config);
+        const std::string bytes =
+            core::serialize_result(run.to_experiment_result());
+        EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), pin.fnv)
+            << run.label;
+        EXPECT_EQ(run.invalidations, pin.invalidations) << run.label;
+        EXPECT_EQ(run.l2_interval_closes, pin.l2_interval_closes)
+            << run.label;
+        EXPECT_EQ(run.sim_path_effective, "kernel") << run.label;
     }
 }
 

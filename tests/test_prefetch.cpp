@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests of the prefetch substrate: the Farkas twice-confirmed stride
- * rule, table-collision behaviour, next-line coverage windows, and the
- * Figure 9 prefetchability analysis.
+ * rule, table-collision behaviour, next-line coverage windows (with a
+ * std::map differential oracle for the paged monitor), and the Figure 9
+ * prefetchability analysis.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <vector>
 
 #include "core/inflection.hpp"
 #include "interval/interval_histogram.hpp"
@@ -13,6 +17,7 @@
 #include "prefetch/next_line.hpp"
 #include "prefetch/prefetchability.hpp"
 #include "prefetch/stride.hpp"
+#include "util/random.hpp"
 
 using namespace leakbound;
 using namespace leakbound::prefetch;
@@ -139,6 +144,132 @@ TEST(NextLine, LatestTouchWins)
     EXPECT_TRUE(m.covers(8, 500));
     m.reset();
     EXPECT_FALSE(m.covers(8, 0));
+}
+
+namespace {
+
+/** The next-line monitor's contract over a plain ordered map. */
+class NextLineOracle
+{
+  public:
+    void record(Addr block, Cycle cycle) { last_[block] = cycle; }
+
+    bool
+    covers(Addr block, Cycle open_since, Cycle close_cycle,
+           Cycles lead_time)
+    {
+        if (block == 0)
+            return false;
+        const auto it = last_.find(block - 1);
+        if (it == last_.end())
+            return false;
+        const Cycle deadline =
+            close_cycle >= lead_time ? close_cycle - lead_time : 0;
+        const bool hit = it->second > open_since && it->second <= deadline;
+        covered_ += hit ? 1 : 0;
+        return hit;
+    }
+
+    void
+    append_state(std::vector<std::uint64_t> &out, Cycle now) const
+    {
+        out.push_back(last_.size());
+        for (const auto &[block, when] : last_) {
+            out.push_back(block);
+            out.push_back(now - when);
+        }
+    }
+
+    void
+    warp(Cycles delta)
+    {
+        for (auto &entry : last_)
+            entry.second += delta;
+    }
+
+    void
+    reset()
+    {
+        last_.clear();
+        covered_ = 0;
+    }
+
+    std::uint64_t covered() const { return covered_; }
+
+  private:
+    std::map<Addr, Cycle> last_;
+    std::uint64_t covered_ = 0;
+};
+
+} // namespace
+
+TEST(NextLine, MatchesMapOracleOnRandomSequences)
+{
+    // Blocks around the 64-block page edges (block-1 of 0, 64 and 128
+    // lies on another page, or on none), a dense low range, and a few
+    // far pages the directory must keep apart.
+    const std::vector<Addr> edges = {0,   1,   62,  63,  64,  65,
+                                     127, 128, 129, 191, 192, 193};
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        util::Rng rng(seed);
+        NextLineMonitor monitor;
+        NextLineOracle oracle;
+        Cycle now = 0;
+        monitor.record(64, 0); // a record at cycle 0 is still a record
+        oracle.record(64, 0);
+        for (int step = 0; step < 4000; ++step) {
+            Addr block;
+            switch (rng.next_below(4)) {
+              case 0:
+                block = edges[rng.next_below(edges.size())];
+                break;
+              case 1:
+                block = rng.next_below(512);
+                break;
+              case 2:
+                block = (Addr{1} << 40) + rng.next_below(130);
+                break;
+              default:
+                block = rng.next_below(1u << 20);
+                break;
+            }
+            const std::uint64_t op = rng.next_below(100);
+            if (op < 45) {
+                now += rng.next_below(3); // repeated cycles included
+                monitor.record(block, now);
+                oracle.record(block, now);
+            } else if (op < 95) {
+                const Cycle open = now - std::min<Cycle>(now,
+                                                         rng.next_below(40));
+                const Cycles lead = rng.next_below(2) ? 0
+                                                      : rng.next_below(20);
+                ASSERT_EQ(monitor.covers(block, open, now, lead),
+                          oracle.covers(block, open, now, lead))
+                    << "seed " << seed << " step " << step << " block "
+                    << block;
+            } else if (op < 98) {
+                const Cycles delta = rng.next_below(1000);
+                monitor.warp(delta);
+                oracle.warp(delta);
+                now += delta;
+            } else if (op < 99) {
+                std::vector<std::uint64_t> got;
+                std::vector<std::uint64_t> want;
+                monitor.append_state(got, now);
+                oracle.append_state(want, now);
+                ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+            } else {
+                monitor.reset();
+                oracle.reset();
+            }
+            ASSERT_EQ(monitor.covered(), oracle.covered());
+        }
+        std::vector<std::uint64_t> got;
+        std::vector<std::uint64_t> want;
+        monitor.append_state(got, now);
+        oracle.append_state(want, now);
+        EXPECT_EQ(got, want) << "seed " << seed;
+    }
 }
 
 // ------------------------------------------------- prefetchability (Fig 9)

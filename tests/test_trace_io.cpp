@@ -238,7 +238,7 @@ TEST(TraceIo, MidStreamFlushKeepsFormatIdentical)
         TraceWriter b(path_b);
         for (const TimedAccess &rec : records) {
             a.write(rec);
-            a.flush();
+            ASSERT_TRUE(a.flush().ok());
             b.write(rec);
         }
     }
