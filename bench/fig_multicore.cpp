@@ -16,11 +16,8 @@
  *     bounds on the shared L2's interval population.
  *
  * The committed BENCH_multicore.json is this binary's --json report.
- * The default --l2-assoc of 16 is the kernel's widest packable
- * geometry, so every cache runs the kernel and the report's "sim path"
- * column reads "kernel"; --l2-assoc 1 restores the stock direct-mapped
- * geometry, and an --l2-assoc above 16 falls back to the reference
- * decision logic for the L2 (the column then reads "mixed").
+ * --l2-assoc takes 1..16: the default of 16 is the widest geometry the
+ * cache model accepts, and 1 restores the stock direct-mapped L2.
  *
  * Results are byte-identical across --jobs values and across runs:
  * the interleaver is a pure function of the configuration (see
@@ -61,9 +58,8 @@ main(int argc, char **argv)
     cli.add_flag("max-cores",
                  "largest core count in the sweep (of 1,2,4,8)", "8");
     cli.add_flag("l2-assoc",
-                 "shared-L2 associativity (16 exceeds the kernel's "
-                 "8-way ceiling, exercising the mixed lane; 1 is the "
-                 "stock geometry)",
+                 "shared-L2 associativity, 1..16 (1 is the stock "
+                 "direct-mapped geometry)",
                  "16");
     cli.parse(argc, argv);
 
@@ -73,7 +69,8 @@ main(int argc, char **argv)
     base.collect_l2 = true;
     base.hierarchy.l2.associativity =
         static_cast<unsigned>(cli.get_u64("l2-assoc"));
-    base.hierarchy.validate();
+    if (util::Status valid = base.hierarchy.validate(); !valid.ok())
+        util::fatal("--l2-assoc: ", valid.message());
 
     const std::uint64_t max_cores = cli.get_u64("max-cores");
     const std::vector<std::uint32_t> counts = {1, 2, 4, 8};
@@ -90,7 +87,7 @@ main(int argc, char **argv)
     util::Table sweep("multicore sweep: IPC and coherence traffic "
                       "(shared L2, store-snoop invalidation)");
     sweep.set_header({"cores", "mix", "IPC", "invalidations",
-                      "inval stores", "L2 inval closes", "sim path"});
+                      "inval stores", "L2 inval closes"});
     util::Table bounds("per-level 70nm oracle bounds (L1 pooled over "
                        "all cores; L2 = shared population)");
     bounds.set_header({"cores", "mix", "L1 OPT-Drowsy", "L1 OPT-Sleep",
@@ -127,7 +124,6 @@ main(int argc, char **argv)
             timing.instructions = merged.core.instructions;
             timing.cycles = merged.core.cycles;
             timing.ipc = merged.core.ipc();
-            timing.sim_path = run.sim_path_effective;
             report().runs.push_back(std::move(timing));
 
             const std::string mix = join_names(pattern);
@@ -136,8 +132,7 @@ main(int argc, char **argv)
             sweep.add_row({std::to_string(cores), mix, ipc,
                            std::to_string(run.invalidations),
                            std::to_string(run.invalidating_stores),
-                           std::to_string(run.l2_interval_closes),
-                           run.sim_path_effective});
+                           std::to_string(run.l2_interval_closes)});
 
             std::vector<core::SavingsResult> drowsy, sleep, hybrid;
             for (const multicore::CoreOutcome &core : run.cores) {

@@ -271,7 +271,7 @@ void
 BM_EndToEndPipeline(benchmark::State &state)
 {
     // Instructions-per-second of the full workload->core->interval
-    // pipeline on gzip.
+    // pipeline on gzip, cold (invert items/s for ns/instr).
     core::ExperimentConfig config;
     config.instructions = 200'000;
     config.extra_edges = core::standard_extra_edges();
@@ -282,26 +282,6 @@ BM_EndToEndPipeline(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * config.instructions);
 }
 BENCHMARK(BM_EndToEndPipeline);
-
-void
-BM_ColdSimNsPerInstr(benchmark::State &state)
-{
-    // Cold simulation cost per instruction, kernel lane vs reference
-    // path (arg 0 = kernel, 1 = reference): the A/B behind the
-    // "Simulation kernel" section of DESIGN.md.  Reported items/s is
-    // instructions/s; invert for ns/instr.
-    core::ExperimentConfig config;
-    config.instructions = 200'000;
-    config.extra_edges = core::standard_extra_edges();
-    config.sim_path = state.range(0) == 0 ? sim::SimMode::Kernel
-                                          : sim::SimMode::Reference;
-    for (auto _ : state) {
-        auto w = workload::make_benchmark("gzip");
-        benchmark::DoNotOptimize(core::run_experiment(*w, config));
-    }
-    state.SetItemsProcessed(state.iterations() * config.instructions);
-}
-BENCHMARK(BM_ColdSimNsPerInstr)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -325,10 +325,6 @@ ArtifactCache::try_load(std::uint64_t key) const
     auto result = deserialize_result(payload);
     if (!result)
         return reject();
-    // No simulation ran for a loaded result, so no decision-logic lane
-    // did either; stamping it here covers every load site (fresh hit,
-    // waited-on-writer, post-acquire re-probe).
-    result->sim_path_effective = "cache";
     return result;
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * The interval-collecting access listener, hoisted out of
- * experiment.cpp so the multicore engine (src/multicore) can drive the
- * exact same classification logic per core.  Textual sharing is part
- * of the N=1 byte-identity argument: a multicore node classifies an
+ * The interval-collecting access listener, shared by the single-core
+ * experiment runner and the multicore engine (src/multicore), which
+ * drives the exact same classification logic per core.  Textual
+ * sharing is part of the N=1 byte-identity argument: a multicore node classifies an
  * access with the same code path a single-core run does, so identical
  * access streams produce identical interval populations.
  */
@@ -68,6 +68,21 @@ class CollectingListener final : public cpu::AccessListener
         dmonitor_.record(block, cycle);
         on_l2(cycle, result);
     }
+
+    // InOrderCore::run_with's listener interface.  The class is final,
+    // so these calls devirtualize and inline into the run loop.
+    void
+    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
+    {
+        on_instr_access(cycle, pc, result);
+    }
+    void
+    on_data(Cycle cycle, Pc pc, Addr addr, bool is_store,
+            const sim::HierarchyResult &result)
+    {
+        on_data_access(cycle, pc, addr, is_store, result);
+    }
+    void on_group_end() {}
 
     /** Optional L2 observer (extension; no prefetch classification). */
     void

@@ -29,105 +29,6 @@ namespace leakbound::core {
 
 namespace {
 
-// CollectingListener itself lives in core/collecting_listener.hpp now,
-// shared verbatim with the multicore engine.
-
-/**
- * The devirtualized twin of CollectingListener for the kernel run
- * path (InOrderCore::run_with): same classification logic, concrete
- * methods that inline into the templated run loop, and histogram
- * additions staged in a small per-group buffer flushed at group end.
- * Staging is byte-transparent: histogram adds commute and the sinks
- * are only read after finalize(), while the frame/monitor/stride state
- * a later access in the same group may consult is updated immediately
- * (IntervalCollector::observe()).  Only built for the configuration
- * it supports: no raw-interval retention, no L2 collection.
- */
-class KernelRunListener
-{
-  public:
-    KernelRunListener(const sim::HierarchyConfig &config,
-                      interval::IntervalCollector *icollector,
-                      interval::IntervalCollector *dcollector,
-                      prefetch::StridePredictor *stride,
-                      Cycles nl_lead_time,
-                      interval::IntervalHistogramSet *isink,
-                      interval::IntervalHistogramSet *dsink)
-        : iline_shift_(config.l1i.line_shift()),
-          dline_shift_(config.l1d.line_shift()),
-          dline_(config.l1d.line_bytes), icollector_(icollector),
-          dcollector_(dcollector), stride_(stride), nl_lead_(nl_lead_time),
-          isink_(isink), dsink_(dsink)
-    {
-        staged_.reserve(kStagedReserve);
-    }
-
-    void
-    on_instr(Cycle cycle, Pc pc, const sim::HierarchyResult &result)
-    {
-        const Addr block = pc >> iline_shift_;
-        bool nl = false;
-        Cycle since;
-        if (icollector_->open_since(result.l1.frame, since))
-            nl = imonitor_.covers(block, since, cycle, nl_lead_);
-        staged_.push_back({isink_, icollector_->observe(
-                                       result.l1.frame, cycle, result.l1.hit,
-                                       /*stride_predicted=*/false, nl)});
-        imonitor_.record(block, cycle);
-    }
-
-    void
-    on_data(Cycle cycle, Pc pc, Addr addr, bool /*is_store*/,
-            const sim::HierarchyResult &result)
-    {
-        const Addr block = addr >> dline_shift_;
-        const bool stride_hit = stride_->access(pc, addr, dline_);
-        bool nl = false;
-        Cycle since;
-        if (dcollector_->open_since(result.l1.frame, since))
-            nl = dmonitor_.covers(block, since, cycle, nl_lead_);
-        staged_.push_back({dsink_, dcollector_->observe(
-                                       result.l1.frame, cycle, result.l1.hit,
-                                       stride_hit, nl)});
-        dmonitor_.record(block, cycle);
-    }
-
-    void
-    on_group_end()
-    {
-        for (const StagedAdd &s : staged_)
-            s.sink->add(s.iv);
-        staged_.clear();
-    }
-
-  private:
-    struct StagedAdd
-    {
-        interval::IntervalHistogramSet *sink;
-        interval::Interval iv;
-    };
-
-    /** One instr access plus a full-width group of data accesses. */
-    static constexpr std::size_t kStagedReserve = 8;
-
-    std::uint32_t iline_shift_;
-    std::uint32_t dline_shift_;
-    std::uint32_t dline_;
-    interval::IntervalCollector *icollector_;
-    interval::IntervalCollector *dcollector_;
-    prefetch::StridePredictor *stride_;
-    Cycles nl_lead_;
-    interval::IntervalHistogramSet *isink_;
-    interval::IntervalHistogramSet *dsink_;
-    std::vector<StagedAdd> staged_;
-    prefetch::NextLineMonitor imonitor_;
-    prefetch::NextLineMonitor dmonitor_;
-};
-
-} // namespace
-
-namespace {
-
 /**
  * The actual enumeration behind standard_extra_edges().  Walks every
  * stock policy at every tech node, which costs ~0.3 ms — fine for a
@@ -227,20 +128,12 @@ parse_engine(const std::string &name)
     return std::nullopt;
 }
 
-const char *
-sim_path_effective_name(std::size_t kernel_caches, std::size_t num_caches)
-{
-    if (kernel_caches == num_caches)
-        return "kernel";
-    if (kernel_caches == 0)
-        return "reference";
-    return "mixed";
-}
-
 util::Status
 ExperimentConfig::validate() const
 {
     if (util::Status s = core.validate(); !s.ok())
+        return s;
+    if (util::Status s = hierarchy.validate(); !s.ok())
         return s;
     if (core_count == 0) {
         return util::Status(util::ErrorKind::InvalidArgument,
@@ -271,65 +164,6 @@ ExperimentConfig::validate() const
 namespace {
 
 /**
- * The kernelized lane of run_one(): plain simulation (no fast path, no
- * raw-interval retention, no L2 collection) through the devirtualized
- * batch pipeline — templated run loop over KernelRunListener, batched
- * fetch, kernel cache decision logic.  Kept as its own function so the
- * reference body in run_one() stays textually untouched; the two are
- * proved byte-identical by the differential fuzzer (test_kernel_
- * equivalence) and the fixed-workload smoke test.
- */
-ExperimentResult
-run_one_kernel(workload::Workload &workload, const ExperimentConfig &config)
-{
-    const auto wall_start = std::chrono::steady_clock::now();
-    config.hierarchy.validate();
-
-    auto edges =
-        interval::IntervalHistogramSet::default_edges(config.extra_edges);
-
-    sim::Hierarchy hierarchy(config.hierarchy, sim::SimMode::Kernel);
-    ExperimentResult result{
-        CacheObservation(interval::IntervalHistogramSet(edges)),
-        CacheObservation(interval::IntervalHistogramSet(edges))};
-    result.workload = workload.name();
-
-    interval::IntervalCollector icollector(hierarchy.l1i().num_frames(),
-                                           &result.icache.intervals);
-    interval::IntervalCollector dcollector(hierarchy.l1d().num_frames(),
-                                           &result.dcache.intervals);
-    prefetch::StridePredictor stride(config.stride);
-
-    KernelRunListener listener(config.hierarchy, &icollector, &dcollector,
-                               &stride, config.nl_lead_time,
-                               &result.icache.intervals,
-                               &result.dcache.intervals);
-
-    cpu::InOrderCore core(config.core, &hierarchy, &workload);
-    result.core = core.run_with(config.instructions, listener);
-
-    icollector.finalize(result.core.cycles);
-    dcollector.finalize(result.core.cycles);
-
-    result.icache.stats = hierarchy.l1i().stats();
-    result.dcache.stats = hierarchy.l1d().stats();
-    result.l2 = hierarchy.l2().stats();
-    result.sim_path_effective = sim_path_effective_name(
-        static_cast<std::size_t>(hierarchy.l1i().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l1d().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l2().kernel_active()),
-        3);
-    result.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-
-    util::debug("experiment '", result.workload, "': ",
-                result.core.instructions, " instrs, ", result.core.cycles,
-                " cycles, ipc=", result.core.ipc(), " (kernel)");
-    return result;
-}
-
-/**
  * One full experiment over an already-positioned workload.
  * @param use_analytic arm the periodic fast path (the caller has
  *        verified eligibility); the run still completes as a plain
@@ -339,22 +173,12 @@ ExperimentResult
 run_one(workload::Workload &workload, const ExperimentConfig &config,
         bool use_analytic)
 {
-    // Plain simulation of the common collection shape takes the
-    // devirtualized kernel lane; everything else (fast-path runs,
-    // keep_raw, L2 collection, explicit Reference selection) runs the
-    // reference pipeline below, byte-identical by construction.
-    if (!use_analytic && !config.keep_raw && !config.collect_l2 &&
-        config.sim_path == sim::SimMode::Kernel) {
-        return run_one_kernel(workload, config);
-    }
-
     const auto wall_start = std::chrono::steady_clock::now();
-    config.hierarchy.validate();
 
     auto edges =
         interval::IntervalHistogramSet::default_edges(config.extra_edges);
 
-    sim::Hierarchy hierarchy(config.hierarchy, config.sim_path);
+    sim::Hierarchy hierarchy(config.hierarchy);
     ExperimentResult result{
         CacheObservation(interval::IntervalHistogramSet(edges)),
         CacheObservation(interval::IntervalHistogramSet(edges))};
@@ -381,11 +205,6 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     }
 
     cpu::InOrderCore core(config.core, &hierarchy, &workload, &listener);
-    if (config.sim_path == sim::SimMode::Reference) {
-        // The reference arm of the differential proof exercises the
-        // legacy one-virtual-call-per-µop fetch path too.
-        core.set_batch_fetch(false);
-    }
 
     std::optional<analytic::PeriodicFastPath> fastpath;
     if (use_analytic) {
@@ -409,12 +228,14 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
             result.l2cache ? &result.l2cache->intervals : nullptr;
         fastpath.emplace(refs, config.instructions,
                          profile->period_instructions);
+        // The hooked run is unbatched: the fast path's state
+        // signatures need the workload never to run ahead of the core.
         const cpu::CoreRunStats s1 =
             core.run(config.instructions, fastpath->hook());
         result.core = fastpath->finish(s1);
         result.analytic = fastpath->committed();
     } else {
-        result.core = core.run(config.instructions);
+        result.core = core.run_with(config.instructions, listener);
     }
 
     icollector.finalize(result.core.cycles);
@@ -432,11 +253,6 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
     result.icache.stats = hierarchy.l1i().stats();
     result.dcache.stats = hierarchy.l1d().stats();
     result.l2 = hierarchy.l2().stats();
-    result.sim_path_effective = sim_path_effective_name(
-        static_cast<std::size_t>(hierarchy.l1i().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l1d().kernel_active()) +
-            static_cast<std::size_t>(hierarchy.l2().kernel_active()),
-        3);
     if (fastpath) {
         fastpath->add_skipped(result.icache.stats, result.dcache.stats,
                               result.l2);

@@ -117,15 +117,6 @@ struct ExperimentConfig
      */
     Engine engine = Engine::Auto;
     /**
-     * Decision-logic selection for plain simulation (see sim::SimMode):
-     * Kernel runs the devirtualized batch kernel, Reference the
-     * virtual-dispatch path the kernel is differentially fuzzed
-     * against.  Like ignore_interrupts this is excluded from config
-     * fingerprints — the two paths are byte-identical, so the setting
-     * never changes what a completed simulation produces.
-     */
-    sim::SimMode sim_path = sim::SimMode::Kernel;
-    /**
      * Number of in-order cores sharing the L2 (src/multicore).  1 runs
      * the classic single-core engine; anything else (or a non-empty
      * workload_mix) routes through the multicore interleaver, whose
@@ -141,13 +132,11 @@ struct ExperimentConfig
     std::vector<std::string> workload_mix;
 
     /**
-     * Cross-field validation of the multicore knobs (core_count,
-     * workload_mix) plus the nested core config.  Typed errors, never
-     * fatal(): InvalidArgument on core_count = 0 / > kMaxCoreCount, a
-     * mix whose length differs from core_count, or a mix naming an
-     * unknown benchmark.  Geometry (hierarchy) keeps its historical
-     * fatal() validation — those are programmer errors, not request
-     * input.
+     * Validation of the nested core and hierarchy configs plus the
+     * cross-field multicore knobs (core_count, workload_mix).  Typed
+     * errors, never fatal(): InvalidArgument on a bad core or cache
+     * geometry, core_count = 0 / > kMaxCoreCount, a mix whose length
+     * differs from core_count, or a mix naming an unknown benchmark.
      */
     util::Status validate() const;
 };
@@ -195,17 +184,6 @@ struct ExperimentResult
      * Engine::Analytic.
      */
     bool analytic = false;
-    /**
-     * Which cache decision-logic lane the simulation actually ran
-     * (reporting only, excluded from serialize_result like from_cache):
-     * "kernel" when every cache took the devirtualized kernel,
-     * "reference" when none did, "mixed" when they disagreed (a cache
-     * wider than 16 ways silently falls back to reference logic next
-     * to kernelized ones), and "cache" for a result loaded from the
-     * artifact cache (no simulation ran at all).  Empty only for
-     * pre-existing serialized results.
-     */
-    std::string sim_path_effective;
 
     ExperimentResult(CacheObservation ic, CacheObservation dc)
         : icache(std::move(ic)), dcache(std::move(dc))
@@ -222,14 +200,6 @@ struct ExperimentResult
  * process); copy it only when you need to mutate.
  */
 const std::vector<Cycles> &standard_extra_edges();
-
-/**
- * Canonical ExperimentResult::sim_path_effective value for a run where
- * @p kernel_caches of @p num_caches cache instances had the kernel
- * decision logic active: "kernel", "reference", or "mixed".
- */
-const char *sim_path_effective_name(std::size_t kernel_caches,
-                                    std::size_t num_caches);
 
 /** Run @p workload under @p config and collect both caches. */
 ExperimentResult run_experiment(workload::Workload &workload,

@@ -11,14 +11,15 @@
  * consumes; the limit study needs relative access timing, not precise
  * out-of-order overlap.
  *
- * The run loop is a template over the access listener, so the kernel
- * path (core::run_one with a concrete listener type) compiles into one
- * devirtualized routine; the classic AccessListener interface rides on
- * the same loop through a thin adapter.  Instruction fetch consumes
- * from a small ring refilled via Workload::next_batch — one virtual
- * call per ring instead of one per µop — except while a GroupHook is
- * installed (the analytic fast path), where the workload must never
- * run ahead of the µop the core consumes next.
+ * The run loop is a template over the access listener, so a run with a
+ * concrete listener type (core::run_one, the multicore engine)
+ * compiles into one devirtualized routine; the AccessListener
+ * interface rides on the same loop through a thin adapter.
+ * Instruction fetch consumes from a small ring refilled via
+ * Workload::next_batch — one virtual call per ring instead of one per
+ * µop — except while a GroupHook is installed (the analytic fast
+ * path), where the workload must never run ahead of the µop the core
+ * consumes next.
  */
 
 #ifndef LEAKBOUND_CPU_INORDER_CORE_HPP
@@ -137,10 +138,10 @@ class InOrderCore
                      const GroupHook &hook);
 
     /**
-     * run() with a concrete (non-virtual) listener: the kernel path.
-     * @p L provides on_instr(cycle, pc, result), on_data(cycle, pc,
-     * addr, is_store, result) and on_group_end(), all of which inline
-     * into the loop.  The op stream, timing, and statistics are
+     * run() with a concrete (non-virtual) listener: the plain
+     * simulation path.  @p L provides on_instr(cycle, pc, result),
+     * on_data(cycle, pc, addr, is_store, result) and on_group_end(),
+     * all of which inline into the loop.  The op stream, timing, and statistics are
      * byte-identical to run() over an equivalent AccessListener.
      * The run also stops after the first fetch group that leaves the
      * clock at or past @p stop_cycle, with the stream position
@@ -154,15 +155,6 @@ class InOrderCore
         return run_loop(max_instructions, GroupHook(), listener,
                         stop_cycle);
     }
-
-    /**
-     * Enable/disable batched fetch (default on).  The op stream is
-     * identical either way — batching only changes *when* the workload
-     * generates ops, never which — but the reference arm of the kernel
-     * differential fuzzer turns it off to exercise the one-virtual-call
-     * -per-µop path.
-     */
-    void set_batch_fetch(bool on) { batch_fetch_ = on; }
 
     /** Current cycle (end-of-run timestamp after run()). */
     Cycle cycle() const { return cycle_; }
@@ -206,7 +198,7 @@ class InOrderCore
      * the pending slot) and stays valid until the next peek — consume()
      * never moves data, so the run loop reads op fields in place
      * instead of copying 24-byte MicroOps through a peek/fetch shuffle.
-     * Ring leftovers always drain first, so mixed batched/unbatched
+     * Ring leftovers always drain first, so mixed batched/hooked
      * run() sequences still consume the stream in order; refills only
      * happen here, and only while batching is active.
      */
@@ -250,7 +242,7 @@ class InOrderCore
         // workload must not be driven ahead of consumption, so the
         // ring never refills (leftovers from an earlier batched run
         // still drain, and the signature captures them).
-        batch_active_ = batch_fetch_ && !hook;
+        batch_active_ = !hook;
 
         CoreRunStats stats;
         const Cycles l1i_hit = hierarchy_->config().l1i.hit_latency;
@@ -359,7 +351,6 @@ class InOrderCore
     std::array<trace::MicroOp, kFetchRing> ring_{};
     std::uint32_t ring_pos_ = 0;
     std::uint32_t ring_len_ = 0;
-    bool batch_fetch_ = true;  ///< batching enabled (see set_batch_fetch)
     bool batch_active_ = false; ///< batching in force for the active run
 };
 

@@ -65,26 +65,6 @@ class IntervalCollector
     on_access(FrameId frame, Cycle cycle, bool reuse,
               bool stride_predicted, bool nl_covered)
     {
-        const Interval iv =
-            observe(frame, cycle, reuse, stride_predicted, nl_covered);
-        sink_->add(iv);
-        if (keep_raw_)
-            raw_.push_back(iv);
-    }
-
-    /**
-     * on_access() minus the sink: classify the access, close the
-     * frame's open interval and open a new one, and hand the closed
-     * Interval back instead of adding it to the histogram set.  The
-     * simulation kernel uses this to stage additions in a per-group
-     * buffer (histogram adds commute, so deferring them is
-     * byte-transparent; the frame bookkeeping itself must be immediate
-     * because a later access in the same group may read it).
-     */
-    Interval
-    observe(FrameId frame, Cycle cycle, bool reuse, bool stride_predicted,
-            bool nl_covered)
-    {
         LEAKBOUND_ASSERT(!finalized_, "access after finalize()");
         LEAKBOUND_ASSERT(frame < frames_.size(), "frame id out of range");
         FrameState &fs = frames_[frame];
@@ -118,7 +98,9 @@ class IntervalCollector
 
         fs.touched = true;
         fs.last_access = cycle;
-        return iv;
+        sink_->add(iv);
+        if (keep_raw_)
+            raw_.push_back(iv);
     }
 
     /**

@@ -82,7 +82,7 @@ class Engine
   public:
     Engine(std::vector<std::string> names,
            const core::ExperimentConfig &config)
-        : l2_(config.hierarchy.l2, kSharedL2Seed, config.sim_path),
+        : l2_(config.hierarchy.l2, kSharedL2Seed),
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
           l2_line_shift_(config.hierarchy.l2.line_shift())
     {
@@ -103,7 +103,7 @@ class Engine
             node->isink.emplace(edges);
             node->dsink.emplace(edges);
             node->hierarchy = std::make_unique<sim::Hierarchy>(
-                config.hierarchy, &l2_, i, config.sim_path);
+                config.hierarchy, &l2_, i);
             node->icollector =
                 std::make_unique<interval::IntervalCollector>(
                     node->hierarchy->l1i().num_frames(), &*node->isink);
@@ -308,7 +308,6 @@ Engine::run()
     result.l2_interval_closes = l2_interval_closes_;
     result.l2 = l2_.stats();
 
-    std::size_t kernel_caches = l2_.kernel_active() ? 1 : 0;
     result.cores.reserve(nodes_.size());
     for (auto &node : nodes_) {
         node->icollector->finalize(end_cycle);
@@ -321,13 +320,8 @@ Engine::run()
         outcome.icache.stats = node->hierarchy->l1i().stats();
         outcome.dcache.stats = node->hierarchy->l1d().stats();
         outcome.invalidations_received = node->invalidations_received;
-        kernel_caches +=
-            static_cast<std::size_t>(node->hierarchy->l1i().kernel_active()) +
-            static_cast<std::size_t>(node->hierarchy->l1d().kernel_active());
         result.cores.push_back(std::move(outcome));
     }
-    result.sim_path_effective = core::sim_path_effective_name(
-        kernel_caches, 2 * nodes_.size() + 1);
 
     if (l2_collector_) {
         l2_collector_->finalize(end_cycle);
@@ -379,7 +373,6 @@ run_multicore(const std::string &benchmark,
             util::ErrorKind::InvalidArgument,
             "raw-interval retention (keep_raw) is single-core only"));
     }
-    config.hierarchy.validate();
 
     const std::vector<std::string> names = resolve_mix(benchmark, config);
     Engine engine(names, config);
@@ -391,8 +384,7 @@ run_multicore(const std::string &benchmark,
         instructions += core.stats.instructions;
     util::debug("multicore '", result.label, "': ", names.size(),
                 " cores, ", instructions, " instrs, ", result.end_cycle,
-                " cycles, ", result.invalidations, " invalidations (",
-                result.sim_path_effective, ")");
+                " cycles, ", result.invalidations, " invalidations");
     return result;
 }
 
@@ -423,7 +415,6 @@ MulticoreResult::to_experiment_result() const
     result.core = stats;
     result.l2cache = l2cache;
     result.l2 = l2;
-    result.sim_path_effective = sim_path_effective;
     return result;
 }
 

@@ -14,7 +14,7 @@
  *
  * Determinism contract: the interleaver is a single-threaded loop that
  * runs the core with the minimum (cycle, core_id) pair through the
- * kernel run loop (InOrderCore::run_with) until another core becomes
+ * templated run loop (InOrderCore::run_with) until another core becomes
  * the minimum.  The other cores' clocks are frozen meanwhile, so the
  * event order is exactly the one-fetch-group-per-step order, and every
  * histogram, statistic, and serialized byte is a pure function of the
@@ -90,8 +90,6 @@ struct MulticoreResult
      * attributable (accesses + these closes + trailing finalizes).
      */
     std::uint64_t l2_interval_closes = 0;
-    /** See ExperimentResult::sim_path_effective (2N L1s + the L2). */
-    std::string sim_path_effective;
 
     /**
      * Flatten into the single-core result shape: summed core stats

@@ -102,10 +102,6 @@ struct StatsSnapshot
     std::uint64_t cache_hits = 0;        ///< benchmarks loaded, not simulated
     std::uint64_t analytic_runs = 0;     ///< benchmarks the fast path skipped
     std::uint64_t sim_runs = 0;          ///< benchmarks simulated end to end
-    /** sim_runs broken down by effective decision-logic lane. */
-    std::uint64_t kernel_path_runs = 0;    ///< every cache kernelized
-    std::uint64_t reference_path_runs = 0; ///< every cache on reference
-    std::uint64_t mixed_path_runs = 0;     ///< lanes disagreed (>16-way cache)
     std::uint64_t rejected_overloaded = 0;
     std::uint64_t rejected_deadline = 0; ///< shed: deadline unmeetable
     std::uint64_t rejected_shutting_down = 0;

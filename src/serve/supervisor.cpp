@@ -113,9 +113,6 @@ constexpr U64Field kU64Fields[] = {
     {"cache_hits", &StatsSnapshot::cache_hits},
     {"analytic_runs", &StatsSnapshot::analytic_runs},
     {"sim_runs", &StatsSnapshot::sim_runs},
-    {"kernel_path_runs", &StatsSnapshot::kernel_path_runs},
-    {"reference_path_runs", &StatsSnapshot::reference_path_runs},
-    {"mixed_path_runs", &StatsSnapshot::mixed_path_runs},
     {"rejected_overloaded", &StatsSnapshot::rejected_overloaded},
     {"rejected_deadline", &StatsSnapshot::rejected_deadline},
     {"rejected_shutting_down", &StatsSnapshot::rejected_shutting_down},

@@ -23,7 +23,8 @@ BeladyResult
 simulate_belady(const CacheConfig &config,
                 const std::vector<Addr> &addresses)
 {
-    config.validate();
+    if (util::Status s = config.validate(); !s.ok())
+        throw util::StatusError(std::move(s));
     const std::size_t n = addresses.size();
 
     // Backward pass: next_use[i] = index of the next access to the

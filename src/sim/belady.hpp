@@ -35,7 +35,8 @@ struct BeladyResult
 /**
  * Simulate Belady-MIN over a stream of byte addresses for the given
  * geometry.  The whole stream must be available up front (that is the
- * point of MIN).
+ * point of MIN).  Throws util::StatusError when @p config fails
+ * CacheConfig::validate().
  */
 BeladyResult simulate_belady(const CacheConfig &config,
                              const std::vector<Addr> &addresses);

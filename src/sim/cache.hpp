@@ -8,15 +8,13 @@
  * keys on (leakage is a property of the physical frame, not of the
  * block resident in it).
  *
- * Two implementations of the per-access decision logic coexist (see
- * SimMode in cache_config.hpp): the devirtualized *kernel*, which
- * packs a set's recency order (up to 16 ways, one nibble per rank)
- * into one 64-bit rank word and inlines
- * the replacement update per ReplacementKind, and the *reference*
- * path, which drives the virtual ReplacementPolicy objects.  They are
- * byte-identical in every observable; debug builds additionally run
- * the policy objects in lockstep with the kernel and assert agreement
- * on every victim.
+ * The per-access decision logic is one devirtualized *kernel*: it
+ * packs a set's recency order (up to kMaxAssociativity = 16 ways, one
+ * nibble per rank) into one 64-bit rank word and inlines the
+ * replacement update per ReplacementKind.  Debug builds also run the
+ * virtual ReplacementPolicy objects in lockstep and assert agreement
+ * on every victim; the tests replay recorded streams through a
+ * policy-driven reference cache (tests/reference_cache.hpp).
  */
 
 #ifndef LEAKBOUND_SIM_CACHE_HPP
@@ -68,20 +66,15 @@ class Cache
 {
   public:
     /**
-     * @param config validated geometry; @param seed for Random repl.
-     * @param mode kernel vs reference decision logic (byte-identical;
-     *        geometries the kernel cannot pack — more than 16 ways —
-     *        silently run the reference logic).
+     * @param config geometry (util::StatusError when it fails
+     *        CacheConfig::validate()); @param seed for Random repl.
      */
-    explicit Cache(const CacheConfig &config, std::uint64_t seed = 1,
-                   SimMode mode = SimMode::Kernel);
+    explicit Cache(const CacheConfig &config, std::uint64_t seed = 1);
 
     /** Access byte address @p addr: hit or allocate. */
     AccessResult
     access(Addr addr)
     {
-        if (!kernel_)
-            return access_reference(addr);
         switch (config_.replacement) {
           case ReplacementKind::Lru:
             return access_kernel<ReplacementKind::Lru>(addr);
@@ -119,11 +112,11 @@ class Cache
      * requester's store triggers by snooping.  Returns the
      * frame that held the block, or kInvalidFrame when it was not
      * resident.  Replacement state is deliberately left untouched:
-     * both decision paths prefer an invalid way over a policy victim,
-     * so the kernel rank word and the reference policy objects stay in
-     * lockstep without a policy-level invalidate hook.  Statistics are
-     * untouched too — an invalidation is not an access by this cache's
-     * requester.
+     * the kernel and the policy objects both prefer an invalid way
+     * over a policy victim, so the rank word and the debug shadow stay
+     * in lockstep without a policy-level invalidate hook.  Statistics
+     * are untouched too — an invalidation is not an access by this
+     * cache's requester.
      */
     FrameId
     invalidate_block(Addr block)
@@ -152,9 +145,6 @@ class Cache
     /** Statistics so far. */
     const CacheStats &stats() const { return stats_; }
 
-    /** Whether the devirtualized kernel is active for this instance. */
-    bool kernel_active() const { return kernel_; }
-
     /** Invalidate everything and clear statistics. */
     void reset();
 
@@ -163,23 +153,20 @@ class Cache
      * the replacement policy's canonical recency order) to @p out;
      * @return false when the replacement policy is not snapshot-able
      * (Random).  Statistics are excluded — they never influence future
-     * behaviour.  Kernel and reference instances append identical
-     * bytes for identical histories.
+     * behaviour.  The recency order is the canonical one the
+     * ReplacementPolicy objects' append_state emits.
      */
     bool append_state(std::vector<std::uint64_t> &out) const;
 
   private:
-    /** The virtual-policy decision logic (reference/oracle path). */
-    AccessResult access_reference(Addr addr);
-
     /**
      * Recency rank word of one set: nibble p holds the way at recency
      * position p (position 0 = next victim, position ways-1 = MRU);
      * nibbles at and above `ways` hold the 0xF filler, which can never
      * equal a way index (a full 16-way word has no filler).  The
-     * initial ascending order 0,1,...,ways-1 matches the reference
-     * tie-break (untouched ways all carry stamp 0 and sort ascending
-     * by way).
+     * initial ascending order 0,1,...,ways-1 matches the policy
+     * objects' tie-break (untouched ways all carry stamp 0 and sort
+     * ascending by way).
      */
     static std::uint64_t
     initial_rank(std::uint32_t ways)
@@ -281,13 +268,12 @@ class Cache
         std::uint32_t way = invalid_way;
         if (way == ways_) {
             if constexpr (K == ReplacementKind::Random)
-                way = static_cast<std::uint32_t>(
-                    kernel_rng_.next_below(ways_));
+                way = static_cast<std::uint32_t>(rng_.next_below(ways_));
             else
                 way = static_cast<std::uint32_t>(rank_[set] & 0xf);
 #ifndef NDEBUG
             LEAKBOUND_ASSERT(repl_->victim_way(set) == way,
-                             "kernel victim diverged from the reference "
+                             "kernel victim diverged from the shadow "
                              "policy in set ", set);
             LEAKBOUND_ASSERT(way < ways_ && valid_[base + way],
                              "kernel picked an invalid victim way ", way);
@@ -322,21 +308,18 @@ class Cache
     std::vector<Addr> tags_;          ///< resident block number per frame
     std::vector<std::uint8_t> valid_; ///< validity per frame
     /**
-     * The reference policy objects.  In Reference mode (or for
-     * geometries the kernel cannot pack) they make every decision; in
-     * kernel mode they are the debug-build shadow oracle and are never
+     * The virtual policy objects: the debug-build shadow oracle, never
      * consulted in release builds.
      */
     std::unique_ptr<ReplacementPolicy> repl_;
-    bool kernel_ = false;            ///< kernel decision logic active
-    std::vector<std::uint64_t> rank_; ///< per-set rank word (kernel)
-    // Same-block filter (kernel path): the previously accessed block
-    // and its frame.  Derived state — always the MRU of its set — so
-    // it is excluded from append_state() and cleared by reset().
+    std::vector<std::uint64_t> rank_; ///< per-set rank word
+    // Same-block filter: the previously accessed block and its frame.
+    // Derived state — always the MRU of its set — so it is excluded
+    // from append_state() and cleared by reset().
     Addr last_block_ = kInvalidAddr;
     FrameId last_frame_ = kInvalidFrame;
-    util::Rng kernel_rng_;           ///< kernel Random draws (lockstep
-                                     ///< with RandomPolicy's stream)
+    util::Rng rng_;                  ///< Random draws (lockstep with
+                                     ///< RandomPolicy's stream)
     CacheStats stats_;
     std::uint64_t seed_;
 };

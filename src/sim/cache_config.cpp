@@ -7,8 +7,6 @@
 
 #include <bit>
 
-#include "util/logging.hpp"
-
 namespace leakbound::sim {
 
 namespace {
@@ -67,24 +65,32 @@ CacheConfig::set_mask() const
     return num_sets() - 1;
 }
 
-void
+util::Status
 CacheConfig::validate() const
 {
-    using util::fatal;
+    auto invalid = [this](const std::string &what) {
+        return util::Status(util::ErrorKind::InvalidArgument,
+                            "cache '" + name + "': " + what);
+    };
     if (!is_pow2(line_bytes))
-        fatal("cache '", name, "': line_bytes must be a power of two");
+        return invalid("line_bytes must be a power of two");
     if (associativity == 0)
-        fatal("cache '", name, "': associativity must be nonzero");
+        return invalid("associativity must be nonzero");
+    if (associativity > kMaxAssociativity) {
+        return invalid("associativity " + std::to_string(associativity) +
+                       " exceeds the maximum of " +
+                       std::to_string(kMaxAssociativity) + " ways");
+    }
     if (size_bytes == 0 ||
         size_bytes % (static_cast<std::uint64_t>(line_bytes) *
                       associativity) != 0) {
-        fatal("cache '", name,
-              "': size must be a nonzero multiple of line*assoc");
+        return invalid("size must be a nonzero multiple of line*assoc");
     }
     if (!is_pow2(num_sets()))
-        fatal("cache '", name, "': number of sets must be a power of two");
+        return invalid("number of sets must be a power of two");
     if (hit_latency == 0)
-        fatal("cache '", name, "': hit latency must be at least 1 cycle");
+        return invalid("hit latency must be at least 1 cycle");
+    return util::Status();
 }
 
 CacheConfig

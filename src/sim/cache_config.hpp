@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/status.hpp"
 #include "util/types.hpp"
 
 namespace leakbound::sim {
@@ -27,20 +28,10 @@ enum class ReplacementKind : std::uint8_t {
 const char *replacement_name(ReplacementKind kind);
 
 /**
- * Which implementation of the per-access decision logic a cache (and
- * the hierarchy built from it) runs.  Kernel selects the devirtualized
- * rank-word fast path specialized per ReplacementKind; Reference keeps
- * the virtual ReplacementPolicy objects.  The two are byte-identical
- * in every observable — access results, statistics, state snapshots —
- * which the kernel differential fuzzer (`ctest -L kernel`) proves;
- * Reference exists as the debug-checked oracle, the same convention
- * EdgeIndex and the analytic engine use (DESIGN.md "Simulation
- * kernel").
+ * Widest associativity the cache model accepts: one 64-bit rank word
+ * per set packs the recency order, one 4-bit nibble per way.
  */
-enum class SimMode : std::uint8_t {
-    Kernel,    ///< inlined per-kind kernel (default)
-    Reference, ///< virtual replacement-policy path (oracle)
-};
+inline constexpr std::uint32_t kMaxAssociativity = 16;
 
 /** Geometry and timing of one cache level. */
 struct CacheConfig
@@ -78,9 +69,13 @@ struct CacheConfig
      */
     std::uint64_t set_mask() const;
 
-    /** Check invariants (powers of two, divisibility); fatal() on bad
-     *  user configuration. */
-    void validate() const;
+    /**
+     * Check invariants: powers of two, divisibility, at most
+     * kMaxAssociativity ways, a nonzero hit latency.  InvalidArgument
+     * on a bad geometry; Cache's constructor throws it as
+     * util::StatusError.
+     */
+    util::Status validate() const;
 
     /** The paper's L1 instruction cache. */
     static CacheConfig alpha_l1i();

@@ -4,7 +4,7 @@
  * flat memory, with the paper's latencies (Section 4.1).
  *
  * The access paths are defined inline so that, together with the
- * cache's kernel access path, one hierarchy access compiles into a
+ * cache's access path, one hierarchy access compiles into a
  * single straight-line routine inside the simulation loop.
  */
 
@@ -25,8 +25,11 @@ struct HierarchyConfig
     CacheConfig l2 = CacheConfig::alpha_l2();
     Cycles memory_latency = 100; ///< L2 miss service time
 
-    /** Validate all levels. */
-    void validate() const;
+    /**
+     * Validate all levels, and that memory is slower than the L2;
+     * InvalidArgument on the first violation.
+     */
+    util::Status validate() const;
 };
 
 /** Outcome of one hierarchy access. */
@@ -47,12 +50,8 @@ struct HierarchyResult
 class Hierarchy
 {
   public:
-    /**
-     * @param mode decision-logic selection forwarded to all three
-     *        caches (byte-identical either way; see SimMode).
-     */
-    explicit Hierarchy(const HierarchyConfig &config,
-                       SimMode mode = SimMode::Kernel);
+    /** @throws util::StatusError when @p config fails validate(). */
+    explicit Hierarchy(const HierarchyConfig &config);
 
     /**
      * A private-L1 node over an externally owned shared L2 (the
@@ -64,7 +63,7 @@ class Hierarchy
      * which is what anchors the N=1 multicore byte-identity proof.
      */
     Hierarchy(const HierarchyConfig &config, Cache *shared_l2,
-              std::uint32_t requester, SimMode mode = SimMode::Kernel);
+              std::uint32_t requester);
 
     /** Fetch the instruction line containing @p pc. */
     HierarchyResult access_instr(Pc pc) { return access_through(l1i_, pc); }

@@ -3,8 +3,11 @@
  * Replacement policy machinery for the set-associative cache model.
  *
  * Policies track recency/insertion metadata per frame and pick victims
- * per set.  They are driven by the Cache (sim/cache.hpp): on_hit() per
- * hit, on_fill() per fill, victim_way() per replacement decision.
+ * per set: on_hit() per hit, on_fill() per fill, victim_way() per
+ * replacement decision.  They are the oracle for the cache's packed
+ * rank-word kernel: debug builds of sim::Cache drive them in lockstep,
+ * and the tests' reference cache (tests/reference_cache.hpp) makes
+ * every decision with them.
  */
 
 #ifndef LEAKBOUND_SIM_REPLACEMENT_HPP

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/cache.hpp"
 #include "sim/hierarchy.hpp"
 
@@ -41,17 +43,48 @@ TEST(CacheConfig, GeometryMath)
     EXPECT_EQ(l2.associativity, 1u);
 }
 
+namespace {
+
+/** Asserts @p status is an InvalidArgument whose message names @p what. */
+void
+expect_invalid(const util::Status &status, const std::string &what)
+{
+    EXPECT_EQ(status.kind(), util::ErrorKind::InvalidArgument)
+        << status.to_string();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.to_string();
+}
+
+} // namespace
+
 TEST(CacheConfig, ValidationCatchesBadGeometry)
 {
+    EXPECT_TRUE(tiny().validate().ok());
     CacheConfig c = tiny();
     c.line_bytes = 48; // not a power of two
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(2), "power of two");
+    expect_invalid(c.validate(), "power of two");
     c = tiny();
     c.size_bytes = 300; // not divisible
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(2), "multiple");
+    expect_invalid(c.validate(), "multiple");
     c = tiny();
     c.hit_latency = 0;
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(2), "latency");
+    expect_invalid(c.validate(), "latency");
+    // The constructor surfaces the same status as an exception.
+    EXPECT_THROW(Cache{c}, util::StatusError);
+}
+
+TEST(CacheConfig, RejectsMoreThanSixteenWays)
+{
+    CacheConfig c = tiny();
+    c.associativity = kMaxAssociativity;
+    c.size_bytes = 64ull * kMaxAssociativity; // one set
+    EXPECT_TRUE(c.validate().ok());
+    for (const std::uint32_t ways : {17u, 32u, 64u}) {
+        c.associativity = ways;
+        c.size_bytes = 64ull * ways; // one set: only the width is wrong
+        expect_invalid(c.validate(), "associativity");
+        EXPECT_THROW(Cache{c}, util::StatusError) << ways;
+    }
 }
 
 TEST(Cache, ColdMissesThenHits)
@@ -201,9 +234,10 @@ TEST(Hierarchy, PaperLatenciesAreDefault)
 TEST(Hierarchy, RejectsMemoryFasterThanL2)
 {
     HierarchyConfig cfg;
+    EXPECT_TRUE(cfg.validate().ok());
     cfg.memory_latency = 3;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(2),
-                "memory latency");
+    expect_invalid(cfg.validate(), "memory latency");
+    EXPECT_THROW(Hierarchy{cfg}, util::StatusError);
 }
 
 TEST(Hierarchy, SplitL1SharedL2)

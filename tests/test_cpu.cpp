@@ -233,17 +233,23 @@ TEST(InOrderCore, ZeroFetchWidthIsATypedError)
 
 TEST(InOrderCore, BatchedAndUnbatchedFetchAgree)
 {
-    // set_batch_fetch(false) is the differential fuzzer's reference
-    // arm: the op stream and all statistics must be identical.
+    // A hooked run never refills the fetch ring (the differential
+    // fuzzer's oracle pipeline and the analytic fast path rely on it):
+    // the op stream and all statistics must match a batched run.
     ScriptedWorkload wa(straight_line(0x1000, 100));
     ScriptedWorkload wb(straight_line(0x1000, 100));
     sim::Hierarchy ha{sim::HierarchyConfig{}};
     sim::Hierarchy hb{sim::HierarchyConfig{}};
     InOrderCore batched(CoreConfig{}, &ha, &wa, nullptr);
     InOrderCore unbatched(CoreConfig{}, &hb, &wb, nullptr);
-    unbatched.set_batch_fetch(false);
+    std::uint64_t hook_calls = 0;
     const CoreRunStats a = batched.run(1'000'000);
-    const CoreRunStats b = unbatched.run(1'000'000);
+    const CoreRunStats b =
+        unbatched.run(1'000'000, [&hook_calls](const CoreRunStats &) {
+            ++hook_calls;
+            return true;
+        });
+    EXPECT_EQ(hook_calls, b.fetch_groups);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.fetch_groups, b.fetch_groups);

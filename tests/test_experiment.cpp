@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
 #include "core/generalized_model.hpp"
 #include "core/policies.hpp"
 #include "core/savings.hpp"
 #include "prefetch/prefetchability.hpp"
+#include "util/fingerprint.hpp"
 #include "workload/spec_suite.hpp"
 
 using namespace leakbound;
@@ -94,29 +97,24 @@ TEST(Experiment, DeterministicAcrossRuns)
 
 TEST(Experiment, KernelMatchesReferenceOnFixedWorkloads)
 {
-    // The devirtualized kernel lane and the virtual-dispatch reference
-    // path (which also runs unbatched fetch) must serialize to the
-    // same bytes on real suite members: gzip exercises LoopProgram
-    // batching, gcc the call-graph walker.  The random-geometry sweep
-    // lives in test_kernel_equivalence (ctest -L kernel); this pins
-    // the stock configuration inside tier 1.
-    for (const char *name : {"gzip", "gcc"}) {
-        ExperimentConfig kernel_config = small_config();
-        kernel_config.sim_path = sim::SimMode::Kernel;
-        ExperimentConfig reference_config = small_config();
-        reference_config.sim_path = sim::SimMode::Reference;
-
-        auto wk = workload::make_benchmark(name);
-        const ExperimentResult k = run_experiment(*wk, kernel_config);
-        auto wr = workload::make_benchmark(name);
-        const ExperimentResult r = run_experiment(*wr, reference_config);
-
-        EXPECT_EQ(serialize_result(k), serialize_result(r)) << name;
-        // sim_path is excluded from config fingerprints: both lanes
-        // name the same artifact.
-        EXPECT_EQ(fingerprint_config(kernel_config),
-                  fingerprint_config(reference_config))
-            << name;
+    // The serialized results of real suite members are pinned, so the
+    // stock configuration's bytes cannot move inside tier 1: gzip
+    // exercises LoopProgram batching, gcc the call-graph walker.  The
+    // pins were also produced by the virtual-policy lane that the
+    // random-geometry differential (test_kernel_equivalence, ctest -L
+    // kernel) now replaces with a test-side oracle.
+    const struct
+    {
+        const char *name;
+        std::uint64_t fnv;
+    } pins[] = {{"gzip", 0xbc82617600d1f814ULL},
+                {"gcc", 0x418d3f7165a49a6dULL}};
+    for (const auto &pin : pins) {
+        auto w = workload::make_benchmark(pin.name);
+        const std::string bytes =
+            serialize_result(run_experiment(*w, small_config()));
+        EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), pin.fnv)
+            << pin.name;
     }
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential fuzzing of the devirtualized simulation kernel against
- * the virtual-dispatch reference path (ISSUE: the kernel's acceptance
- * gate).
+ * a test-side oracle.
  *
- * The kernel claims byte-identity: for any workload and geometry,
- * serialize_result(SimMode::Kernel) must equal
- * serialize_result(SimMode::Reference) exactly — same histograms, same
- * cache statistics, same cycle counts.  The reference arm additionally
- * disables batched fetch, so one kernel-vs-reference comparison covers
- * all three kernelizations at once: batch µop generation, the packed
- * replacement kernel, and the flattened observation chain.
+ * The oracle pipeline is the simulation without any of the kernel's
+ * shortcuts: a CollectingListener behind a recording virtual
+ * cpu::AccessListener, driven by the hooked InOrderCore::run (one
+ * virtual call per µop, no fetch batching), with every recorded cache
+ * access replayed through ReferenceCache (tests/reference_cache.hpp),
+ * whose replacement decisions come from the virtual ReplacementPolicy
+ * objects.  One comparison covers all three kernelizations at once:
+ * batch µop generation, the packed replacement kernel, and the
+ * devirtualized listener chain.
  *
  * Two layers of differential:
  *
@@ -18,14 +19,16 @@
  *    patterns included, unlike the analytic fuzzer — the kernel has no
  *    eligibility gate) across random geometries and all three
  *    ReplacementKinds, including the 16-way shapes that fill a whole
- *    nibble-packed rank word.  On a mismatch the
- *    failing seed is printed with a greedily minimized program.
+ *    nibble-packed rank word.  run_experiment must serialize exactly
+ *    like the oracle pipeline, and the replay must reproduce every
+ *    recorded AccessResult.  On a mismatch the failing seed is printed
+ *    with a greedily minimized program.
  *
  *  - Bare cache level: identical address streams driven through a
- *    Kernel-mode and a Reference-mode Cache, asserting every
- *    AccessResult field per access — the eviction stream and, for
- *    Random replacement, the RNG draw stream must stay in lockstep,
- *    not just the end-of-run aggregates.
+ *    sim::Cache and a ReferenceCache, asserting every AccessResult
+ *    field per access — the eviction stream and, for Random
+ *    replacement, the RNG draw stream must stay in lockstep, not just
+ *    the end-of-run aggregates.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +37,11 @@
 #include <vector>
 
 #include "core/artifact_cache.hpp"
+#include "core/collecting_listener.hpp"
 #include "core/experiment.hpp"
+#include "interval/collector.hpp"
+#include "prefetch/stride.hpp"
+#include "reference_cache.hpp"
 #include "sim/cache.hpp"
 #include "util/random.hpp"
 #include "workload/data_pattern.hpp"
@@ -42,6 +49,7 @@
 
 using namespace leakbound;
 using namespace leakbound::core;
+using oracle::ReferenceCache;
 using workload::BlockSpec;
 using workload::NodeSpec;
 
@@ -114,8 +122,8 @@ random_replacement(util::Rng &rng)
 
 /**
  * Small geometries keep 2000 simulations fast while covering
- * direct-mapped through 8-way packed-kernel shapes plus occasional
- * 16-way sets that exercise the kernel's silent reference fallback.
+ * direct-mapped through 8-way L1s and up to 16-way L2s, the widest
+ * geometry the cache model accepts.
  */
 sim::HierarchyConfig
 random_hierarchy(util::Rng &rng)
@@ -247,27 +255,141 @@ random_program(std::uint64_t seed)
 }
 
 ExperimentConfig
-config_for(const ProgramSpec &spec, sim::SimMode path)
+config_for(const ProgramSpec &spec)
 {
     ExperimentConfig config;
     config.instructions = spec.instructions;
     config.hierarchy = spec.hierarchy;
     config.engine = Engine::Sim;
-    config.sim_path = path;
     return config;
 }
 
-/** Run one spec under both decision paths; true iff byte-identical. */
+/** One hierarchy access as the core's listener saw it. */
+struct RecordedAccess
+{
+    bool instr = false; ///< L1I (fetch group) rather than L1D
+    Addr addr = 0;
+    sim::HierarchyResult result;
+};
+
+/** Records every access, then hands it on to @p inner. */
+class RecordingListener final : public cpu::AccessListener
+{
+  public:
+    explicit RecordingListener(cpu::AccessListener *inner) : inner_(inner)
+    {
+    }
+
+    void
+    on_instr_access(Cycle cycle, Pc pc,
+                    const sim::HierarchyResult &result) override
+    {
+        accesses.push_back({true, pc, result});
+        inner_->on_instr_access(cycle, pc, result);
+    }
+
+    void
+    on_data_access(Cycle cycle, Pc pc, Addr addr, bool is_store,
+                   const sim::HierarchyResult &result) override
+    {
+        accesses.push_back({false, addr, result});
+        inner_->on_data_access(cycle, pc, addr, is_store, result);
+    }
+
+    std::vector<RecordedAccess> accesses;
+
+  private:
+    cpu::AccessListener *inner_;
+};
+
+/** What the oracle pipeline produced for one spec. */
+struct OracleRun
+{
+    std::string bytes; ///< serialize_result of the run
+    std::vector<RecordedAccess> accesses;
+};
+
+/**
+ * The oracle pipeline: run_experiment's plain-simulation body over
+ * the virtual listener interface and the hooked (unbatched) run loop.
+ */
+OracleRun
+oracle_run(const ProgramSpec &spec)
+{
+    const ExperimentConfig config = config_for(spec);
+    auto workload = build_program(spec);
+    const auto edges =
+        interval::IntervalHistogramSet::default_edges(config.extra_edges);
+
+    sim::Hierarchy hierarchy(config.hierarchy);
+    ExperimentResult result{
+        CacheObservation(interval::IntervalHistogramSet(edges)),
+        CacheObservation(interval::IntervalHistogramSet(edges))};
+    result.workload = workload->name();
+    interval::IntervalCollector icollector(hierarchy.l1i().num_frames(),
+                                           &result.icache.intervals);
+    interval::IntervalCollector dcollector(hierarchy.l1d().num_frames(),
+                                           &result.dcache.intervals);
+    prefetch::StridePredictor stride(config.stride);
+    CollectingListener collecting(config.hierarchy, &icollector,
+                                  &dcollector, &stride,
+                                  config.nl_lead_time);
+    RecordingListener recording(&collecting);
+
+    cpu::InOrderCore core(config.core, &hierarchy, workload.get(),
+                          &recording);
+    result.core = core.run(config.instructions,
+                           [](const cpu::CoreRunStats &) { return true; });
+    icollector.finalize(result.core.cycles);
+    dcollector.finalize(result.core.cycles);
+    result.icache.stats = hierarchy.l1i().stats();
+    result.dcache.stats = hierarchy.l1d().stats();
+    result.l2 = hierarchy.l2().stats();
+    return {serialize_result(result), std::move(recording.accesses)};
+}
+
+bool
+same_access(const sim::AccessResult &a, const sim::AccessResult &b)
+{
+    return a.hit == b.hit && a.frame == b.frame && a.evicted == b.evicted &&
+           a.victim_block == b.victim_block;
+}
+
+/**
+ * Replay @p accesses in order through reference L1I, L1D and L2 caches
+ * seeded like sim::Hierarchy's (11, 13, 17); true iff every recorded
+ * AccessResult is reproduced.
+ */
+bool
+replay_matches(const ProgramSpec &spec,
+               const std::vector<RecordedAccess> &accesses)
+{
+    ReferenceCache l1i(spec.hierarchy.l1i, 11);
+    ReferenceCache l1d(spec.hierarchy.l1d, 13);
+    ReferenceCache l2(spec.hierarchy.l2, 17);
+    for (const RecordedAccess &a : accesses) {
+        ReferenceCache &l1 = a.instr ? l1i : l1d;
+        if (!same_access(l1.access(a.addr), a.result.l1))
+            return false;
+        if (!a.result.l1.hit && !same_access(l2.access(a.addr), a.result.l2))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Run one spec through run_experiment and the oracle pipeline; true
+ * iff both serialize identically and the oracle's recorded cache
+ * stream replays exactly through the reference caches.
+ */
 bool
 equivalent(const ProgramSpec &spec)
 {
-    auto kernel_workload = build_program(spec);
-    const ExperimentResult kernel = run_experiment(
-        *kernel_workload, config_for(spec, sim::SimMode::Kernel));
-    auto reference_workload = build_program(spec);
-    const ExperimentResult reference = run_experiment(
-        *reference_workload, config_for(spec, sim::SimMode::Reference));
-    return serialize_result(kernel) == serialize_result(reference);
+    auto workload = build_program(spec);
+    const std::string kernel =
+        serialize_result(run_experiment(*workload, config_for(spec)));
+    const OracleRun oracle = oracle_run(spec);
+    return kernel == oracle.bytes && replay_matches(spec, oracle.accesses);
 }
 
 std::string
@@ -343,7 +465,7 @@ random_cache(util::Rng &rng, sim::ReplacementKind kind)
 
 /**
  * The main gate: 1000 random programs, every one byte-identical
- * across the kernel and reference decision paths.
+ * between run_experiment and the oracle pipeline.
  */
 TEST(KernelEquivalence, FuzzedExperimentsAreByteIdentical)
 {
@@ -351,15 +473,15 @@ TEST(KernelEquivalence, FuzzedExperimentsAreByteIdentical)
     for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
         const ProgramSpec spec = random_program(seed);
         if (!equivalent(spec)) {
-            FAIL() << "kernel/reference divergence; minimized:\n"
+            FAIL() << "kernel/oracle divergence; minimized:\n"
                    << minimize_and_describe(spec);
         }
     }
 }
 
 /**
- * Bare-cache lockstep: identical address streams through Kernel- and
- * Reference-mode caches must agree on every per-access observable —
+ * Bare-cache lockstep: identical address streams through a sim::Cache
+ * and a ReferenceCache must agree on every per-access observable —
  * the eviction stream (evicted/victim_block) and, under Random
  * replacement, the RNG draw stream, not just end-of-run aggregates.
  */
@@ -375,11 +497,8 @@ TEST(KernelEquivalence, BareCacheStreamsMatch)
                           static_cast<std::uint64_t>(kind));
             const sim::CacheConfig config = random_cache(rng, kind);
             const std::uint64_t cache_seed = rng.next_u64() | 1;
-            sim::Cache kernel(config, cache_seed, sim::SimMode::Kernel);
-            sim::Cache reference(config, cache_seed,
-                                 sim::SimMode::Reference);
-            ASSERT_TRUE(kernel.kernel_active());
-            ASSERT_FALSE(reference.kernel_active());
+            sim::Cache kernel(config, cache_seed);
+            ReferenceCache reference(config, cache_seed);
 
             // A footprint a few times the cache keeps the miss rate
             // high enough that evictions dominate the stream.
@@ -414,48 +533,42 @@ TEST(KernelEquivalence, BareCacheStreamsMatch)
 }
 
 /**
- * 16 ways is the widest geometry the nibble-packed rank word holds:
- * it runs the kernel.  Wider geometries (32 ways) silently run the
- * reference logic.  Both must match a Reference-mode twin.
+ * 16 ways is the widest geometry the cache model accepts, and the one
+ * whose rank word has no filler nibble: every decision must match the
+ * oracle's under all three policies.
  */
-TEST(KernelEquivalence, WideSetsFallBackToReference)
+TEST(KernelEquivalence, WidestSetsMatchTheOracle)
 {
-    for (const std::uint32_t ways : {16u, 32u}) {
-        sim::CacheConfig config;
-        config.name = "kz-wide";
-        config.line_bytes = 32;
-        config.associativity = ways;
-        config.size_bytes = 32u * ways * 4; // 4 sets
-        config.hit_latency = 1;
-        for (const sim::ReplacementKind kind :
-             {sim::ReplacementKind::Lru, sim::ReplacementKind::Fifo,
-              sim::ReplacementKind::Random}) {
-            config.replacement = kind;
-            sim::Cache kernel(config, 99, sim::SimMode::Kernel);
-            sim::Cache reference(config, 99, sim::SimMode::Reference);
-            EXPECT_EQ(kernel.kernel_active(), ways <= 16) << ways;
-            util::Rng rng(4242);
-            for (std::uint64_t i = 0; i < 50'000; ++i) {
-                const Addr addr = rng.next_below(config.size_bytes * 6);
-                const sim::AccessResult k = kernel.access(addr);
-                const sim::AccessResult r = reference.access(addr);
-                ASSERT_EQ(k.hit, r.hit) << ways << "w access " << i;
-                ASSERT_EQ(k.frame, r.frame) << ways << "w access " << i;
-                ASSERT_EQ(k.victim_block, r.victim_block)
-                    << ways << "w access " << i;
-            }
-            std::vector<std::uint64_t> ks;
-            std::vector<std::uint64_t> rs;
-            ASSERT_EQ(kernel.append_state(ks), reference.append_state(rs));
-            EXPECT_EQ(ks, rs) << ways << "w";
+    sim::CacheConfig config;
+    config.name = "kz-wide";
+    config.line_bytes = 32;
+    config.associativity = sim::kMaxAssociativity;
+    config.size_bytes = 32u * config.associativity * 4; // 4 sets
+    config.hit_latency = 1;
+    for (const sim::ReplacementKind kind :
+         {sim::ReplacementKind::Lru, sim::ReplacementKind::Fifo,
+          sim::ReplacementKind::Random}) {
+        config.replacement = kind;
+        sim::Cache kernel(config, 99);
+        ReferenceCache reference(config, 99);
+        util::Rng rng(4242);
+        for (std::uint64_t i = 0; i < 50'000; ++i) {
+            const Addr addr = rng.next_below(config.size_bytes * 6);
+            ASSERT_TRUE(same_access(kernel.access(addr),
+                                    reference.access(addr)))
+                << sim::replacement_name(kind) << " access " << i;
         }
+        std::vector<std::uint64_t> ks;
+        std::vector<std::uint64_t> rs;
+        ASSERT_EQ(kernel.append_state(ks), reference.append_state(rs));
+        EXPECT_EQ(ks, rs) << sim::replacement_name(kind);
     }
 }
 
 /**
  * reset() must clear the kernel's derived state (rank words and the
- * same-block filter): a reset cache replays a stream identically to a
- * fresh one.
+ * same-block filter): a reset cache replays a stream exactly like a
+ * fresh oracle.
  */
 TEST(KernelEquivalence, ResetRestoresColdBehaviour)
 {
@@ -464,8 +577,8 @@ TEST(KernelEquivalence, ResetRestoresColdBehaviour)
           sim::ReplacementKind::Random}) {
         util::Rng geo(7);
         sim::CacheConfig config = random_cache(geo, kind);
-        sim::Cache once(config, 5, sim::SimMode::Kernel);
-        sim::Cache twice(config, 5, sim::SimMode::Kernel);
+        ReferenceCache once(config, 5);
+        sim::Cache twice(config, 5);
 
         util::Rng warm(123);
         for (std::uint64_t i = 0; i < 5'000; ++i)

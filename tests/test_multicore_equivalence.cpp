@@ -144,18 +144,6 @@ TEST(MulticoreReduction, N1IsByteIdenticalToTheSingleCoreEngine)
     }
 }
 
-TEST(MulticoreReduction, N1ReferencePathAlsoReduces)
-{
-    // The same reduction must hold on the virtual-dispatch reference
-    // lane (the one a >16-way cache silently falls back to).
-    core::ExperimentConfig config = small_config(60'000);
-    config.sim_path = sim::SimMode::Reference;
-    const std::string single = single_core_bytes("gzip", config);
-    config.core_count = 1;
-    EXPECT_EQ(single, core::serialize_result(
-                          multicore::run_multicore_summary("gzip", config)));
-}
-
 TEST(MulticoreDeterminism, SuiteIsByteIdenticalAcrossJobsValues)
 {
     core::ExperimentConfig config = small_config(40'000);
@@ -268,7 +256,6 @@ TEST(MulticoreDeterminism, DigestsArePinned)
         EXPECT_EQ(run.invalidations, pin.invalidations) << run.label;
         EXPECT_EQ(run.l2_interval_closes, pin.l2_interval_closes)
             << run.label;
-        EXPECT_EQ(run.sim_path_effective, "kernel") << run.label;
     }
 }
 
