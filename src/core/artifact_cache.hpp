@@ -52,7 +52,7 @@
 namespace leakbound::core {
 
 /** Bump whenever the serialized layout or its semantics change. */
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
 /**
  * Version of the analytic fast path (src/analytic), mixed into config

@@ -176,32 +176,49 @@ IntervalHistogramSet::inner_count_in(Cycles lo, Cycles hi) const
 void
 IntervalHistogramSet::serialize(util::BinaryWriter &w) const
 {
-    w.put_u64_vector(index_->edges());
-    w.put_u64(hists_.size());
+    const std::vector<std::uint64_t> &edges = index_->edges();
+    w.put_varint(edges.size());
+    std::uint64_t prev = 0;
+    for (std::uint64_t e : edges) {
+        w.put_varint(e - prev);
+        prev = e;
+    }
+    w.put_varint(hists_.size());
     for (const util::Histogram &h : hists_)
         h.write_bins(w);
-    w.put_u64(num_frames_);
-    w.put_u64(total_cycles_);
+    w.put_varint(num_frames_);
+    w.put_varint(total_cycles_);
 }
 
 std::optional<IntervalHistogramSet>
 IntervalHistogramSet::deserialize(util::BinaryReader &r)
 {
-    std::vector<std::uint64_t> edges = r.get_u64_vector();
-    if (r.failed() || edges.empty() || edges.front() != 0)
+    // Every edge takes at least one byte, so a count past the bytes
+    // left is corrupt; check it before reserving anything.
+    const std::uint64_t n = r.get_varint();
+    if (r.failed() || n == 0 || n > r.remaining())
         return std::nullopt;
-    for (std::size_t i = 1; i < edges.size(); ++i)
-        if (edges[i] <= edges[i - 1])
+    std::vector<std::uint64_t> edges;
+    edges.reserve(static_cast<std::size_t>(n));
+    std::uint64_t edge = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        // The first edge is 0; later deltas are >= 1 and never wrap.
+        const std::uint64_t delta = r.get_varint();
+        if (r.failed() || (i == 0) != (delta == 0) ||
+            delta > ~std::uint64_t{0} - edge)
             return std::nullopt;
+        edge += delta;
+        edges.push_back(edge);
+    }
 
     IntervalHistogramSet set(std::move(edges));
-    if (r.get_u64() != set.hists_.size() || r.failed())
+    if (r.get_varint() != set.hists_.size() || r.failed())
         return std::nullopt;
     for (util::Histogram &h : set.hists_)
         if (!h.read_bins(r))
             return std::nullopt;
-    set.num_frames_ = r.get_u64();
-    set.total_cycles_ = r.get_u64();
+    set.num_frames_ = r.get_varint();
+    set.total_cycles_ = r.get_varint();
     if (r.failed())
         return std::nullopt;
     return set;

@@ -117,19 +117,21 @@ class IntervalHistogramSet
     }
 
     /**
-     * Append the full set — edge list, every histogram's bins, and the
-     * run info — to @p w in the stable little-endian layout the
-     * artifact cache persists (see core::ArtifactCache).  The output
-     * is a pure function of the set's contents, so two observably
-     * equal sets serialize to identical bytes.
+     * Append the full set to @p w in the compact layout the artifact
+     * cache persists (see core::ArtifactCache), all varints: the edge
+     * count and the edges as deltas (the first is 0), the slot count,
+     * each histogram's non-empty bins (util::Histogram::write_bins),
+     * then the run info.  The output is a pure function of the set's
+     * contents, so two observably equal sets serialize to identical
+     * bytes.
      */
     void serialize(util::BinaryWriter &w) const;
 
     /**
      * Rebuild a set from bytes written by serialize().  Every field is
-     * bounds-checked and the edge list re-validated (non-empty, sorted,
-     * unique, starting at 0); @return nullopt on any inconsistency
-     * rather than trusting the input.
+     * bounds-checked and the edge list re-validated (non-empty, starts
+     * at 0, strictly increasing without wrapping); @return nullopt on
+     * any inconsistency rather than trusting the input.
      */
     static std::optional<IntervalHistogramSet>
     deserialize(util::BinaryReader &r);

@@ -501,6 +501,11 @@ Supervisor::chaos_probe()
 void
 Supervisor::restart_due()
 {
+    // The signal handler is one-shot: once it has fired, a shard forked
+    // now inherits SIGTERM's default action and drain_fleet's SIGTERM
+    // kills it instead of draining it.  The fleet is going down anyway.
+    if (util::interrupt_requested())
+        return;
     const auto now = Clock::now();
     for (Shard &shard : shards_) {
         if (shard.state != ShardState::Backoff || now < shard.restart_at)

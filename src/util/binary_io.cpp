@@ -74,11 +74,13 @@ BinaryWriter::put_string(const std::string &s)
 }
 
 void
-BinaryWriter::put_u64_vector(const std::vector<std::uint64_t> &v)
+BinaryWriter::put_varint(std::uint64_t v)
 {
-    put_u64(v.size());
-    for (std::uint64_t x : v)
-        put_u64(x);
+    while (v >= 0x80) {
+        out_.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        v >>= 7;
+    }
+    out_.push_back(static_cast<char>(v));
 }
 
 bool
@@ -151,19 +153,25 @@ BinaryReader::get_string()
     return s;
 }
 
-std::vector<std::uint64_t>
-BinaryReader::get_u64_vector()
+std::uint64_t
+BinaryReader::get_varint()
 {
-    const std::uint64_t n = get_u64();
-    if (failed_ || n > (size_ - pos_) / 8) {
-        failed_ = true;
-        return {};
+    std::uint64_t v = 0;
+    for (int i = 0;; ++i) {
+        if (!want(1))
+            return 0;
+        const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+        // The 10th byte holds bit 63 alone (so it also ends the
+        // varint); a zero final byte after the first is a padded,
+        // non-minimal encoding.
+        if ((i == 9 && byte > 1) || (i > 0 && byte == 0)) {
+            failed_ = true;
+            return 0;
+        }
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+        if ((byte & 0x80) == 0)
+            return v;
     }
-    std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(get_u64());
-    return v;
 }
 
 Status

@@ -4,12 +4,13 @@
  * replacement, shared by the experiment artifact cache and the bench
  * report writers.
  *
- * BinaryWriter appends fixed-width little-endian fields to an
- * in-memory byte buffer; BinaryReader consumes the same layout with
- * bounds checking on every read.  A reader never trusts its input:
- * running past the end (or an oversized length prefix) latches a
- * failure flag instead of reading garbage, so corrupt or truncated
- * cache entries are detected and discarded rather than propagated.
+ * BinaryWriter appends fixed-width little-endian fields and LEB128
+ * varints to an in-memory byte buffer; BinaryReader consumes the same
+ * layout with bounds checking on every read.  A reader never trusts
+ * its input: running past the end, an oversized length prefix or a
+ * malformed varint latches a failure flag instead of reading garbage,
+ * so corrupt or truncated cache entries are detected and discarded
+ * rather than propagated.
  */
 
 #ifndef LEAKBOUND_UTIL_BINARY_IO_HPP
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/status.hpp"
 
@@ -42,8 +42,8 @@ class BinaryWriter
     /** Append a length-prefixed (u64) byte string. */
     void put_string(const std::string &s);
 
-    /** Append a length-prefixed (u64) vector of u64 values. */
-    void put_u64_vector(const std::vector<std::uint64_t> &v);
+    /** Append @p v as an unsigned LEB128 varint (1..10 bytes). */
+    void put_varint(std::uint64_t v);
 
     /** The bytes written so far. */
     const std::string &bytes() const { return out_; }
@@ -87,8 +87,14 @@ class BinaryReader
     /** Read a length-prefixed byte string (empty on failure). */
     std::string get_string();
 
-    /** Read a length-prefixed u64 vector (empty on failure). */
-    std::vector<std::uint64_t> get_u64_vector();
+    /**
+     * Read an unsigned LEB128 varint.  Fails on truncation, on more
+     * than 10 bytes, on a 10th byte above 1 (a value past 64 bits) and
+     * on a non-minimal encoding (a trailing zero byte), so every value
+     * has exactly one accepted encoding and decode->encode is a fixed
+     * point.
+     */
+    std::uint64_t get_varint();
 
     /** Whether any read so far ran out of bounds. */
     bool failed() const { return failed_; }

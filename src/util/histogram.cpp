@@ -116,24 +116,45 @@ Histogram::dump() const
 void
 Histogram::write_bins(BinaryWriter &w) const
 {
-    w.put_u64(bins_.size());
-    for (const HistBin &b : bins_) {
-        w.put_u64(b.count);
-        w.put_u64(b.sum);
+    std::uint64_t non_empty = 0;
+    for (const HistBin &b : bins_)
+        non_empty += (b.count | b.sum) != 0;
+    w.put_varint(bins_.size());
+    w.put_varint(non_empty);
+    std::size_t prev = 0;
+    for (std::size_t i = 0; i < bins_.size(); ++i) {
+        if ((bins_[i].count | bins_[i].sum) == 0)
+            continue;
+        w.put_varint(i - prev);
+        w.put_varint(bins_[i].count);
+        w.put_varint(bins_[i].sum);
+        prev = i;
     }
 }
 
 bool
 Histogram::read_bins(BinaryReader &r)
 {
-    const std::uint64_t n = r.get_u64();
-    if (r.failed() || n != bins_.size())
+    const std::uint64_t n = r.get_varint();
+    const std::uint64_t non_empty = r.get_varint();
+    if (r.failed() || n != bins_.size() || non_empty > n)
         return false;
-    for (HistBin &b : bins_) {
-        b.count = r.get_u64();
-        b.sum = r.get_u64();
+    std::fill(bins_.begin(), bins_.end(), HistBin{});
+    std::uint64_t index = 0;
+    for (std::uint64_t k = 0; k < non_empty; ++k) {
+        // The first delta is the bin index itself; later ones must
+        // advance, so each bin appears once and in order.
+        const std::uint64_t delta = r.get_varint();
+        HistBin b;
+        b.count = r.get_varint();
+        b.sum = r.get_varint();
+        if (r.failed() || (k > 0 && delta == 0) || delta >= n - index ||
+            (b.count | b.sum) == 0)
+            return false;
+        index += delta;
+        bins_[index] = b;
     }
-    return !r.failed();
+    return true;
 }
 
 std::vector<std::uint64_t>

@@ -128,17 +128,20 @@ class Histogram
     std::string dump() const;
 
     /**
-     * Append the bin contents (count/sum pairs, length-prefixed) to
-     * @p w.  The edge list is *not* written — sets of histograms over
-     * one edge list store it once (see IntervalHistogramSet).
+     * Append the bin contents to @p w as varints: the bin count, the
+     * number of non-empty bins, then (index delta, count, sum) for each
+     * non-empty bin in index order.  The edge list is *not* written —
+     * sets of histograms over one edge list store it once (see
+     * IntervalHistogramSet).
      */
     void write_bins(BinaryWriter &w) const;
 
     /**
      * Replace the bin contents with bins read from @p r, written by
      * write_bins over an identical edge list.  @return false (leaving
-     * the histogram unspecified) when the input is truncated or its
-     * bin count does not match this histogram's edges.
+     * the histogram unspecified) when the input is truncated, its bin
+     * count does not match this histogram's edges, or a bin entry is
+     * out of range, out of order or empty.
      */
     bool read_bins(BinaryReader &r);
 

@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -164,18 +168,197 @@ TEST(ArtifactCache, ReportingFieldsExcludedFromPayload)
     EXPECT_EQ(serialize_result(copy), serialize_result(sample_result()));
 }
 
+namespace {
+
+/** gcc at 400k instructions, the size guard's reference result. */
+const ExperimentResult &
+gcc_result()
+{
+    static const ExperimentResult result = [] {
+        auto w = workload::make_benchmark("gcc");
+        ExperimentConfig config = small_config();
+        config.instructions = 400'000;
+        return run_experiment(*w, config);
+    }();
+    return result;
+}
+
+std::string
+varint_bytes(std::initializer_list<std::uint64_t> values)
+{
+    util::BinaryWriter w;
+    for (std::uint64_t v : values)
+        w.put_varint(v);
+    return w.take();
+}
+
+/** One histogram's encoding: bin count, entries, (delta, count, sum)s. */
+std::string
+hist_bytes(std::uint64_t bins,
+           std::initializer_list<std::array<std::uint64_t, 3>> entries)
+{
+    util::BinaryWriter w;
+    w.put_varint(bins);
+    w.put_varint(entries.size());
+    for (const auto &e : entries)
+        for (std::uint64_t v : e)
+            w.put_varint(v);
+    return w.take();
+}
+
+/**
+ * A set over the edges given as @p edge_deltas whose first histogram
+ * is @p first_hist and whose other eight are empty.
+ */
+std::string
+set_bytes(std::initializer_list<std::uint64_t> edge_deltas,
+          const std::string &first_hist)
+{
+    util::BinaryWriter w;
+    w.put_varint(edge_deltas.size());
+    for (std::uint64_t d : edge_deltas)
+        w.put_varint(d);
+    w.put_varint(9);
+    std::string bytes = w.take() + first_hist;
+    for (int slot = 1; slot < 9; ++slot)
+        bytes += hist_bytes(edge_deltas.size(), {});
+    return bytes + varint_bytes({512, 1000});
+}
+
+/**
+ * Whether @p bytes decode as exactly one set.  The reader runs over an
+ * exact-size heap copy, so a read past the end is an ASan report.
+ */
+bool
+set_decodes(const std::string &bytes)
+{
+    const auto exact = std::make_unique<char[]>(bytes.size());
+    std::memcpy(exact.get(), bytes.data(), bytes.size());
+    util::BinaryReader r(exact.get(), bytes.size());
+    return interval::IntervalHistogramSet::deserialize(r).has_value() &&
+           r.at_end();
+}
+
+/** Whether reading one varint from @p bytes fails. */
+bool
+varint_fails(const std::string &bytes)
+{
+    const auto exact = std::make_unique<char[]>(bytes.size());
+    std::memcpy(exact.get(), bytes.data(), bytes.size());
+    util::BinaryReader r(exact.get(), bytes.size());
+    r.get_varint();
+    return r.failed();
+}
+
+} // namespace
+
 TEST(ArtifactCache, DeserializeRejectsMangledPayloads)
 {
-    const std::string bytes = serialize_result(sample_result());
-    // Truncations at every prefix length in a coarse sweep, plus the
-    // empty string, must fail cleanly (no crash, no partial result).
-    EXPECT_FALSE(deserialize_result(std::string()).has_value());
-    for (std::size_t len = 0; len < bytes.size();
-         len += 1 + bytes.size() / 97)
+    const std::string bytes = serialize_result(gcc_result());
+    ASSERT_TRUE(deserialize_result(bytes).has_value());
+    // Every proper prefix, the empty string included, must fail
+    // cleanly (no crash, no partial result).
+    for (std::size_t len = 0; len < bytes.size(); ++len)
         EXPECT_FALSE(deserialize_result(bytes.substr(0, len)).has_value())
             << "prefix " << len;
     // Trailing garbage is rejected too (at_end() contract).
     EXPECT_FALSE(deserialize_result(bytes + "x").has_value());
+    EXPECT_FALSE(deserialize_result(bytes + '\0').has_value());
+    EXPECT_FALSE(set_decodes(set_bytes({0, 1, 1}, hist_bytes(3, {})) + 'x'));
+}
+
+TEST(ArtifactCache, VarintRoundTripsAndRejectsMalformedEncodings)
+{
+    for (std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
+          std::uint64_t{128}, std::uint64_t{16383}, std::uint64_t{16384},
+          std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+        const std::string bytes = varint_bytes({v});
+        util::BinaryReader r(bytes);
+        EXPECT_EQ(r.get_varint(), v);
+        EXPECT_TRUE(r.at_end()) << v;
+    }
+    EXPECT_EQ(varint_bytes({~std::uint64_t{0}}).size(), 10u);
+
+    // An 11-byte varint: ten continuation bytes, then a terminator.
+    EXPECT_TRUE(varint_fails(std::string(10, '\x80') + '\x00'));
+    // A 10th byte above 1 carries bits past 64.
+    EXPECT_TRUE(varint_fails(std::string(9, '\xff') + '\x02'));
+    // Non-minimal: 0 and 1 padded with a zero final byte.
+    EXPECT_TRUE(varint_fails(std::string("\x80\x00", 2)));
+    EXPECT_TRUE(varint_fails(std::string("\x81\x80\x00", 3)));
+    // Truncated: a continuation byte with nothing after it.
+    EXPECT_TRUE(varint_fails("\x80"));
+    EXPECT_TRUE(varint_fails(""));
+}
+
+TEST(ArtifactCache, DeserializeRejectsMalformedVarintsInASet)
+{
+    const std::string good = set_bytes({0, 1, 1}, hist_bytes(3, {}));
+    ASSERT_TRUE(set_decodes(good));
+    // The edge count (the set's first field) as an 11-byte varint and
+    // as a padded one; the rest of the set follows unchanged.
+    const std::string tail = good.substr(1);
+    EXPECT_FALSE(set_decodes(std::string(10, '\x83') + '\x00' + tail));
+    EXPECT_FALSE(set_decodes(std::string("\x83\x00", 2) + tail));
+}
+
+TEST(ArtifactCache, DeserializeRejectsBadBinEntries)
+{
+    auto with = [](const std::string &hist) {
+        return set_decodes(set_bytes({0, 1, 1}, hist));
+    };
+    ASSERT_TRUE(with(hist_bytes(3, {{0, 1, 0}, {2, 2, 9}})));
+    ASSERT_TRUE(with(hist_bytes(3, {{2, 1, 7}})));
+    // A bin index at or past the bin count, first or later.
+    EXPECT_FALSE(with(hist_bytes(3, {{3, 1, 1}})));
+    EXPECT_FALSE(with(hist_bytes(3, {{1, 1, 1}, {2, 1, 1}})));
+    EXPECT_FALSE(with(hist_bytes(3, {{1, 1, 1}, {~std::uint64_t{0}, 1, 1}})));
+    // A zero index delta after the first entry (a repeated bin).
+    EXPECT_FALSE(with(hist_bytes(3, {{1, 1, 1}, {0, 1, 1}})));
+    // An encoded bin that is empty.
+    EXPECT_FALSE(with(hist_bytes(3, {{1, 0, 0}})));
+    // More non-empty bins than bins, and a bin-count mismatch.
+    EXPECT_FALSE(with(varint_bytes({3, 4, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                    1, 1})));
+    EXPECT_FALSE(with(hist_bytes(4, {{0, 1, 1}})));
+}
+
+TEST(ArtifactCache, DeserializeRejectsBadEdgeLists)
+{
+    const std::string empty = hist_bytes(3, {});
+    ASSERT_TRUE(set_decodes(set_bytes({0, 1, 1}, empty)));
+    // Does not start at 0.
+    EXPECT_FALSE(set_decodes(set_bytes({5, 1, 1}, empty)));
+    // A zero delta (a duplicated edge).
+    EXPECT_FALSE(set_decodes(set_bytes({0, 1, 0}, empty)));
+    // Wraps past 2^64.
+    EXPECT_FALSE(set_decodes(set_bytes({0, 1, ~std::uint64_t{0}}, empty)));
+    // No edges at all.
+    EXPECT_FALSE(set_decodes(varint_bytes({0})));
+}
+
+TEST(ArtifactCache, DeserializeRejectsHugeCountsWithoutAllocating)
+{
+    // A count prefix far past the input, followed by nothing: the edge
+    // count, the slot count, a histogram's non-empty count.
+    EXPECT_FALSE(set_decodes(varint_bytes({std::uint64_t{1} << 62})));
+    EXPECT_FALSE(set_decodes(varint_bytes({~std::uint64_t{0}})));
+    const std::string edges = varint_bytes({3, 0, 1, 1});
+    EXPECT_FALSE(set_decodes(edges + varint_bytes({std::uint64_t{1} << 62})));
+    EXPECT_FALSE(set_decodes(edges + varint_bytes({9, 3, std::uint64_t{1}
+                                                             << 62})));
+    // The workload name's length prefix in a result.
+    util::BinaryWriter w;
+    w.put_u64(std::uint64_t{1} << 62);
+    EXPECT_FALSE(deserialize_result(w.take()).has_value());
+}
+
+TEST(ArtifactCache, CompactResultStaysSmall)
+{
+    // The compact layout writes only non-empty cells; the dense one
+    // cost ~120 KB for every result whatever it held.
+    EXPECT_LE(serialize_result(gcc_result()).size(), 16u * 1024u);
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "core/generalized_model.hpp"
 #include "core/policies.hpp"
 #include "core/savings.hpp"
+#include "dense_v1_writer.hpp"
 #include "prefetch/prefetchability.hpp"
 #include "util/fingerprint.hpp"
 #include "workload/spec_suite.hpp"
@@ -97,22 +98,28 @@ TEST(Experiment, DeterministicAcrossRuns)
 
 TEST(Experiment, KernelMatchesReferenceOnFixedWorkloads)
 {
-    // The serialized results of real suite members are pinned, so the
-    // stock configuration's bytes cannot move inside tier 1: gzip
-    // exercises LoopProgram batching, gcc the call-graph walker.  The
-    // pins were also produced by the virtual-policy lane that the
-    // random-geometry differential (test_kernel_equivalence, ctest -L
-    // kernel) now replaces with a test-side oracle.
+    // The results of real suite members are pinned, so the stock
+    // configuration's bytes cannot move inside tier 1: gzip exercises
+    // LoopProgram batching, gcc the call-graph walker.  The dense pins
+    // hash the original format-1 layout (dense_v1_writer.hpp) and were
+    // also produced by the virtual-policy lane that the random-geometry
+    // differential (test_kernel_equivalence, ctest -L kernel) now
+    // replaces with a test-side oracle; the compact pins hash what
+    // serialize_result writes today.
     const struct
     {
         const char *name;
+        std::uint64_t dense_fnv;
         std::uint64_t fnv;
-    } pins[] = {{"gzip", 0xbc82617600d1f814ULL},
-                {"gcc", 0x418d3f7165a49a6dULL}};
+    } pins[] = {{"gzip", 0xbc82617600d1f814ULL, 0xd0e745afe3c4f957ULL},
+                {"gcc", 0x418d3f7165a49a6dULL, 0x81aec5d352df1a51ULL}};
     for (const auto &pin : pins) {
         auto w = workload::make_benchmark(pin.name);
-        const std::string bytes =
-            serialize_result(run_experiment(*w, small_config()));
+        const ExperimentResult run = run_experiment(*w, small_config());
+        const std::string dense = oracle::serialize_dense_v1(run);
+        EXPECT_EQ(util::fnv1a(dense.data(), dense.size()), pin.dense_fnv)
+            << pin.name;
+        const std::string bytes = serialize_result(run);
         EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), pin.fnv)
             << pin.name;
     }

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -168,24 +169,31 @@ class FleetDaemon
                                     nullptr);
     }
 
-    /** The pid of shard @p index if it is running, else -1. */
-    pid_t running_shard_pid(unsigned index)
+    /** Shard @p index's state and pid, or {"", -1} if unreadable. */
+    std::pair<std::string, pid_t> shard_status(unsigned index)
     {
         auto document = health();
         if (!document)
-            return -1;
+            return {"", -1};
         const util::JsonValue *details =
             document.value().find("shard_details");
         if (details == nullptr || !details->is_array() ||
             details->array().size() <= index)
-            return -1;
+            return {"", -1};
         const util::JsonValue &shard = details->array()[index];
         const util::JsonValue *state = shard.find("state");
         const util::JsonValue *pid = shard.find("pid");
-        if (state == nullptr || pid == nullptr ||
-            state->string_value() != "running")
-            return -1;
-        return static_cast<pid_t>(pid->number_value());
+        if (state == nullptr || pid == nullptr)
+            return {"", -1};
+        return {state->string_value(),
+                static_cast<pid_t>(pid->number_value())};
+    }
+
+    /** The pid of shard @p index if it is running, else -1. */
+    pid_t running_shard_pid(unsigned index)
+    {
+        const auto [state, pid] = shard_status(index);
+        return state == "running" ? pid : -1;
     }
 
     std::uint64_t restarts_total()
@@ -408,6 +416,40 @@ TEST(Fleet, LoadFailsOverWithByteIdenticalWarmResponses)
     EXPECT_EQ(raw, reference);
 
     EXPECT_EQ(daemon.terminate(), 0) << daemon.log_text();
+}
+
+TEST(Fleet, SigtermRightAfterAShardDiesDrainsCleanly)
+{
+    if (daemon_binary() == nullptr)
+        GTEST_SKIP() << "LEAKBOUNDD not set (run under CTest)";
+    // A shard dies and, with no restart backoff, is due again on the
+    // supervisor's next tick; SIGTERM lands a few ms into that tick.
+    // The supervisor's signal handler is one-shot, so a shard respawned
+    // after the SIGTERM would be born with the default action and die
+    // on the drain's own SIGTERM.
+    for (int attempt = 0; attempt < 10; ++attempt) {
+        FleetDaemon daemon("drain_race", 1,
+                           {"--restart-backoff-ms", "0"});
+        ASSERT_TRUE(daemon.wait_ready()) << daemon.log_text();
+        const pid_t shard = daemon.running_shard_pid(0);
+        ASSERT_GT(shard, 0) << daemon.log_text();
+        ASSERT_EQ(::kill(shard, SIGKILL), 0);
+        // Wait, without sleeping, until the supervisor has reaped the
+        // corpse: a death it has not seen yet would surface in the
+        // drain as this test's own SIGKILL.
+        const auto deadline = Clock::now() + std::chrono::seconds(10);
+        while (daemon.shard_status(0) ==
+                   std::pair<std::string, pid_t>("running", shard) &&
+               Clock::now() < deadline) {
+        }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(2 + 2 * attempt));
+        const int status = daemon.terminate();
+        ASSERT_TRUE(WIFEXITED(status))
+            << "attempt " << attempt << "\n" << daemon.log_text();
+        ASSERT_EQ(WEXITSTATUS(status), 0)
+            << "attempt " << attempt << "\n" << daemon.log_text();
+    }
 }
 
 TEST(Fleet, ChaosKillShardSeamRestartsUnderLoad)

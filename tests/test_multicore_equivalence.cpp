@@ -43,6 +43,7 @@
 #include "core/inflection.hpp"
 #include "core/policies.hpp"
 #include "core/savings.hpp"
+#include "dense_v1_writer.hpp"
 #include "multicore/multicore.hpp"
 #include "power/technology.hpp"
 #include "util/fault_injection.hpp"
@@ -227,20 +228,23 @@ TEST(MulticoreAccounting, EveryIntervalBoundaryIsAttributable)
 TEST(MulticoreDeterminism, DigestsArePinned)
 {
     // The ledger's two multicore_mix mixes at small budgets: the
-    // serialized result and the coherence counters must not move when
+    // simulated result and the coherence counters must not move when
     // the engine's stepping, snooping or L2 collection is reworked.
+    // dense_fnv hashes the original format-1 layout
+    // (dense_v1_writer.hpp), fnv what serialize_result writes today.
     struct Pin
     {
         std::vector<std::string> mix;
+        std::uint64_t dense_fnv;
         std::uint64_t fnv;
         std::uint64_t invalidations;
         std::uint64_t l2_interval_closes;
     };
     const std::vector<Pin> pins = {
-        {{"gcc", "gzip", "mesa", "vortex"}, 0xe374dc6cd6b5992cULL, 1698,
-         877},
+        {{"gcc", "gzip", "mesa", "vortex"}, 0xe374dc6cd6b5992cULL,
+         0xb9d63a2540a20e06ULL, 1698, 877},
         {std::vector<std::string>(4, "vortex"), 0x620d098576b6a1b8ULL,
-         24752, 5876},
+         0x445d2b7964d5bcbbULL, 24752, 5876},
     };
     for (const Pin &pin : pins) {
         core::ExperimentConfig config = small_config(50'000);
@@ -249,8 +253,11 @@ TEST(MulticoreDeterminism, DigestsArePinned)
         config.hierarchy.l2.associativity = 16;
         config.collect_l2 = true;
         const auto run = multicore::run_multicore(pin.mix.front(), config);
-        const std::string bytes =
-            core::serialize_result(run.to_experiment_result());
+        const core::ExperimentResult result = run.to_experiment_result();
+        const std::string dense = oracle::serialize_dense_v1(result);
+        EXPECT_EQ(util::fnv1a(dense.data(), dense.size()), pin.dense_fnv)
+            << run.label;
+        const std::string bytes = core::serialize_result(result);
         EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), pin.fnv)
             << run.label;
         EXPECT_EQ(run.invalidations, pin.invalidations) << run.label;
