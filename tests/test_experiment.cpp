@@ -125,6 +125,50 @@ TEST(Experiment, KernelMatchesReferenceOnFixedWorkloads)
     }
 }
 
+TEST(Experiment, EveryBenchmarkResultIsPinned)
+{
+    // serialize_result's FNV-1a for every make_benchmark() name at
+    // seeds 0 and 1, 400k instructions, stock configuration.  The
+    // analytic extras (stream, stencil, chase) take the fast path under
+    // Engine::Auto, so their pins cover it too.
+    const struct
+    {
+        const char *name;
+        std::uint64_t seed;
+        std::uint64_t fnv;
+    } pins[] = {
+        {"ammp", 0, 0x7a8e34e25467050bULL},
+        {"ammp", 1, 0xf6cb78479846fde0ULL},
+        {"applu", 0, 0x4746a337a4ab8a17ULL},
+        {"applu", 1, 0x9a1b9bbe8133065fULL},
+        {"gcc", 0, 0x18253314956e70ffULL},
+        {"gcc", 1, 0x84d625ac19ff6b87ULL},
+        {"gzip", 0, 0x2f9ff11194f76f9aULL},
+        {"gzip", 1, 0xe16e9b455c243492ULL},
+        {"mesa", 0, 0x3ac9c34ca7441cb2ULL},
+        {"mesa", 1, 0xe065b389b324ab9eULL},
+        {"vortex", 0, 0xb756b0fb0d69839dULL},
+        {"vortex", 1, 0xffaf4309932aecbcULL},
+        {"stream", 0, 0x95100b4933d75650ULL},
+        {"stream", 1, 0x5e35525a9cae8eafULL},
+        {"stencil", 0, 0xbdbeaae02d062875ULL},
+        {"stencil", 1, 0x273359bb49cec41bULL},
+        {"chase", 0, 0xe225883cbfaf948eULL},
+        {"chase", 1, 0x9f5cdddef895853dULL},
+    };
+    ExperimentConfig config;
+    config.instructions = 400'000;
+    config.extra_edges = standard_extra_edges();
+    for (const auto &pin : pins) {
+        auto w = workload::make_benchmark(pin.name, pin.seed);
+        const std::string bytes =
+            serialize_result(run_experiment(*w, config));
+        const std::uint64_t fnv = util::fnv1a(bytes.data(), bytes.size());
+        EXPECT_EQ(fnv, pin.fnv) << pin.name << " seed " << pin.seed
+                                << std::hex << " got 0x" << fnv;
+    }
+}
+
 TEST(Experiment, SchemeOrderingMatchesPaperOnRealRun)
 {
     // Fig. 8's structural claims, end to end on one benchmark:

@@ -5,24 +5,28 @@
  *
  * The oracle pipeline is the simulation without any of the kernel's
  * shortcuts: a CollectingListener behind a recording virtual
- * cpu::AccessListener, driven by the hooked InOrderCore::run (one
- * virtual call per µop, no fetch batching), with every recorded cache
- * access replayed through ReferenceCache (tests/reference_cache.hpp),
- * whose replacement decisions come from the virtual ReplacementPolicy
- * objects.  One comparison covers all three kernelizations at once:
- * batch µop generation, the packed replacement kernel, and the
- * devirtualized listener chain.
+ * cpu::AccessListener, driven by ReferenceCore
+ * (tests/reference_core.hpp), which pulls one µop at a time through
+ * Workload::next() and rebuilds every fetch group by peeking, with
+ * every recorded cache access replayed through ReferenceCache
+ * (tests/reference_cache.hpp), whose replacement decisions come from
+ * the virtual ReplacementPolicy objects.  One comparison covers all
+ * three kernelizations at once: run-granular fetch, the packed
+ * replacement kernel, and the devirtualized listener chain.
  *
  * Two layers of differential:
  *
- *  - Experiment level: 1000 seeded random LoopPrograms (RNG-fed
- *    patterns included, unlike the analytic fuzzer — the kernel has no
+ *  - Experiment level: 1000 seeded random programs (RNG-fed patterns
+ *    included, unlike the analytic fuzzer — the kernel has no
  *    eligibility gate) across random geometries and all three
  *    ReplacementKinds, including the 16-way shapes that fill a whole
- *    nibble-packed rank word.  run_experiment must serialize exactly
- *    like the oracle pipeline, and the replay must reproduce every
- *    recorded AccessResult.  On a mismatch the failing seed is printed
- *    with a greedily minimized program.
+ *    nibble-packed rank word.  Most are LoopPrograms; every fourth is
+ *    a CallGraphProgram and every eighth (offset by one) a
+ *    CompositeWorkload that alternates a LoopProgram and a
+ *    CallGraphProgram on short quanta.  run_experiment must serialize
+ *    exactly like the oracle pipeline, and the replay must reproduce
+ *    every recorded AccessResult.  On a mismatch the failing seed is
+ *    printed with a greedily minimized program.
  *
  *  - Bare cache level: identical address streams driven through a
  *    sim::Cache and a ReferenceCache, asserting every AccessResult
@@ -42,8 +46,10 @@
 #include "interval/collector.hpp"
 #include "prefetch/stride.hpp"
 #include "reference_cache.hpp"
+#include "reference_core.hpp"
 #include "sim/cache.hpp"
 #include "util/random.hpp"
+#include "workload/callgraph.hpp"
 #include "workload/data_pattern.hpp"
 #include "workload/loop_program.hpp"
 
@@ -70,8 +76,14 @@ struct PatternSpec
 /** A regenerable fuzz program: spec tree + pattern pool + geometry. */
 struct ProgramSpec
 {
+    enum class Kind { Loop, CallGraph, Composite };
+
     std::uint64_t seed = 0;
-    std::vector<NodeSpec> nodes;
+    Kind kind = Kind::Loop;
+    std::vector<NodeSpec> nodes;       ///< Loop and Composite
+    workload::CallGraphSpec graph;     ///< CallGraph and Composite
+    std::uint64_t loop_quantum = 0;    ///< Composite
+    std::uint64_t graph_quantum = 0;   ///< Composite
     std::vector<PatternSpec> patterns;
     sim::HierarchyConfig hierarchy;
     std::uint64_t instructions = 0;
@@ -99,15 +111,44 @@ build_pattern(const PatternSpec &spec, std::size_t index)
     return nullptr;
 }
 
-workload::WorkloadPtr
-build_program(const ProgramSpec &spec)
+std::vector<workload::DataPatternPtr>
+build_pool(const ProgramSpec &spec)
 {
     std::vector<workload::DataPatternPtr> pool;
     for (std::size_t i = 0; i < spec.patterns.size(); ++i)
         pool.push_back(build_pattern(spec.patterns[i], i));
-    std::vector<NodeSpec> nodes = spec.nodes; // LoopProgram consumes it
-    return std::make_unique<workload::LoopProgram>(
-        "fuzz", kCodeBase, std::move(nodes), std::move(pool), spec.seed);
+    return pool;
+}
+
+workload::WorkloadPtr
+build_program(const ProgramSpec &spec)
+{
+    auto loop = [&spec] {
+        std::vector<NodeSpec> nodes = spec.nodes; // LoopProgram takes it
+        return std::make_unique<workload::LoopProgram>(
+            "fuzz", kCodeBase, std::move(nodes), build_pool(spec),
+            spec.seed);
+    };
+    // The graph's code sits past the loop program's, so a composite's
+    // phases never share an I-line by accident of layout.
+    auto graph = [&spec](Addr base) {
+        return std::make_unique<workload::CallGraphProgram>(
+            "fuzz", base, spec.graph, build_pool(spec), spec.seed);
+    };
+    switch (spec.kind) {
+      case ProgramSpec::Kind::Loop:
+        return loop();
+      case ProgramSpec::Kind::CallGraph:
+        return graph(kCodeBase);
+      case ProgramSpec::Kind::Composite: {
+        std::vector<workload::CompositeWorkload::Phase> phases;
+        phases.push_back({loop(), spec.loop_quantum});
+        phases.push_back({graph(kCodeBase + 0x10'0000), spec.graph_quantum});
+        return std::make_unique<workload::CompositeWorkload>(
+            "fuzz", std::move(phases));
+      }
+    }
+    return nullptr;
 }
 
 sim::ReplacementKind
@@ -248,9 +289,34 @@ random_program(std::uint64_t seed)
     for (std::size_t i = 0; i < nnodes; ++i)
         spec.nodes.push_back(random_node(rng, 0, npatterns));
     spec.hierarchy = random_hierarchy(rng);
-    // Budgets cross many fetch-ring refills and both partial-group and
+    // Budgets cross many run-buffer refills and both partial-group and
     // workload-truncated endings.
     spec.instructions = 4'000 + rng.next_below(16'000);
+
+    // The call-graph and composite arms draw from their own stream, so
+    // the loop programs of the other seeds stay what they always were.
+    if (seed % 4 == 0)
+        spec.kind = ProgramSpec::Kind::CallGraph;
+    else if (seed % 8 == 1)
+        spec.kind = ProgramSpec::Kind::Composite;
+    if (spec.kind != ProgramSpec::Kind::Loop) {
+        util::Rng g(seed * 0xd1342543de82ef95ULL + 3);
+        workload::CallGraphSpec &cg = spec.graph;
+        cg.num_functions = static_cast<std::uint32_t>(g.next_in(1, 48));
+        cg.min_instrs = static_cast<std::uint32_t>(g.next_in(1, 40));
+        cg.max_instrs =
+            cg.min_instrs + static_cast<std::uint32_t>(g.next_below(200));
+        cg.fanout = static_cast<std::uint32_t>(g.next_below(4));
+        cg.locality = g.next_double();
+        cg.neighbourhood = static_cast<std::uint32_t>(g.next_in(1, 8));
+        cg.repeat_min = static_cast<std::uint32_t>(g.next_in(1, 3));
+        cg.repeat_max =
+            cg.repeat_min + static_cast<std::uint32_t>(g.next_below(4));
+        cg.mem_fraction = g.next_bool(0.2) ? 0.0 : 0.6 * g.next_double();
+        cg.store_fraction = g.next_double();
+        spec.loop_quantum = g.next_in(1, 600);
+        spec.graph_quantum = g.next_in(1, 600);
+    }
     return spec;
 }
 
@@ -311,7 +377,7 @@ struct OracleRun
 
 /**
  * The oracle pipeline: run_experiment's plain-simulation body over
- * the virtual listener interface and the hooked (unbatched) run loop.
+ * the virtual listener interface and the one-µop ReferenceCore.
  */
 OracleRun
 oracle_run(const ProgramSpec &spec)
@@ -336,10 +402,9 @@ oracle_run(const ProgramSpec &spec)
                                   config.nl_lead_time);
     RecordingListener recording(&collecting);
 
-    cpu::InOrderCore core(config.core, &hierarchy, workload.get(),
-                          &recording);
-    result.core = core.run(config.instructions,
-                           [](const cpu::CoreRunStats &) { return true; });
+    oracle::ReferenceCore core(config.core, &hierarchy, workload.get(),
+                               &recording);
+    result.core = core.run(config.instructions);
     icollector.finalize(result.core.cycles);
     dcollector.finalize(result.core.cycles);
     result.icache.stats = hierarchy.l1i().stats();
@@ -435,8 +500,23 @@ minimize_and_describe(ProgramSpec spec)
     std::string out = "seed=" + std::to_string(spec.seed) +
                       " instructions=" +
                       std::to_string(spec.instructions) + "\n";
-    for (const NodeSpec &node : spec.nodes)
-        out += "  " + describe_node(node) + "\n";
+    if (spec.kind != ProgramSpec::Kind::CallGraph) {
+        for (const NodeSpec &node : spec.nodes)
+            out += "  " + describe_node(node) + "\n";
+    }
+    if (spec.kind != ProgramSpec::Kind::Loop) {
+        const workload::CallGraphSpec &cg = spec.graph;
+        out += "  callgraph{functions=" + std::to_string(cg.num_functions) +
+               " instrs=" + std::to_string(cg.min_instrs) + ".." +
+               std::to_string(cg.max_instrs) +
+               " fanout=" + std::to_string(cg.fanout) +
+               " repeats=" + std::to_string(cg.repeat_min) + ".." +
+               std::to_string(cg.repeat_max) + "}\n";
+    }
+    if (spec.kind == ProgramSpec::Kind::Composite) {
+        out += "  quanta=" + std::to_string(spec.loop_quantum) + "/" +
+               std::to_string(spec.graph_quantum) + "\n";
+    }
     out += "  patterns=" + std::to_string(spec.patterns.size()) +
            " l1i=" + std::to_string(spec.hierarchy.l1i.size_bytes) +
            "B/" + std::to_string(spec.hierarchy.l1i.associativity) +
