@@ -27,12 +27,13 @@ namespace leakbound::prefetch {
  * Tracks per-block last access times for next-line coverage tests.
  *
  * Storage is paged: each 64-block page is a dense array of stamps
- * (cycle + 1, so 0 means never accessed), found through a small
- * page-number directory.  Workload footprints are runs of adjacent
- * blocks, so a page costs 8 bytes per block where a per-block hash
- * slot cost several times that, and the block-1 probe of covers()
- * almost always lands on the page record() is about to write — a
- * one-page memo skips the directory for both.
+ * (cycle + 1, so 0 means never accessed).  Pages are found through a
+ * two-level dense index: a chunk of 4096 consecutive pages owns a
+ * table of uint32 page numbers into the stamps (0 = no page yet), and
+ * a small directory maps chunk numbers to tables.  Workload
+ * footprints are a few dense regions, so nearly every lookup lands in
+ * the chunk of the previous one; a one-chunk memo skips the directory
+ * and leaves a single array load.
  */
 class NextLineMonitor
 {
@@ -41,9 +42,10 @@ class NextLineMonitor
     void
     record(Addr block, Cycle cycle)
     {
-        std::size_t base = find_page(block >> kPageShift);
+        const Addr page = block >> kPageShift;
+        std::size_t base = find_page(page);
         if (base == kNoPage)
-            base = add_page(block >> kPageShift);
+            base = add_page(page);
         stamps_[base + (block & kPageMask)] = cycle + 1;
     }
 
@@ -106,31 +108,38 @@ class NextLineMonitor
   private:
     static constexpr unsigned kPageShift = 6;
     static constexpr Addr kPageMask = (Addr{1} << kPageShift) - 1;
+    static constexpr unsigned kChunkShift = 12;
+    static constexpr Addr kChunkMask = (Addr{1} << kChunkShift) - 1;
     static constexpr std::size_t kNoPage = ~std::size_t{0};
 
     /** Offset of @p page's stamps in stamps_ (kNoPage when absent). */
     std::size_t
     find_page(Addr page) const
     {
-        if (page == memo_page_)
-            return memo_base_;
-        std::uint64_t base;
-        if (!directory_.get(page, base))
-            return kNoPage;
-        memo_page_ = page;
-        memo_base_ = base;
-        return base;
+        const Addr chunk = page >> kChunkShift;
+        if (chunk != memo_chunk_) {
+            std::uint64_t table;
+            if (!chunks_.get(chunk, table))
+                return kNoPage;
+            memo_chunk_ = chunk;
+            memo_table_ = table;
+        }
+        const std::uint32_t slot = pages_[memo_table_ + (page & kChunkMask)];
+        return slot == 0 ? kNoPage
+                         : static_cast<std::size_t>(slot - 1) << kPageShift;
     }
 
     /** Append an all-never page for @p page; returns its offset. */
     std::size_t add_page(Addr page);
 
-    util::FlatMap directory_{16}; ///< page number -> stamps_ offset
+    util::FlatMap chunks_{16}; ///< chunk number -> pages_ offset
+    /** Per chunk, 4096 slots: page's stamps_ offset / 64 + 1, 0 = none. */
+    std::vector<std::uint32_t> pages_;
     std::vector<std::uint64_t> stamps_; ///< cycle + 1 per block; 0 = never
     // The memo moves on lookups, which covers() makes from a const
     // context.
-    mutable Addr memo_page_ = kInvalidAddr;
-    mutable std::size_t memo_base_ = 0;
+    mutable Addr memo_chunk_ = kInvalidAddr;
+    mutable std::size_t memo_table_ = 0;
     mutable std::uint64_t covered_ = 0;
 };
 

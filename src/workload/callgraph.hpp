@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "util/random.hpp"
+#include "workload/code_block.hpp"
 #include "workload/data_pattern.hpp"
 #include "workload/workload.hpp"
 
@@ -56,8 +57,8 @@ class CallGraphProgram final : public Workload
                      std::uint64_t seed);
 
     std::string name() const override { return name_; }
-    bool next(trace::MicroOp &op) override;
-    std::size_t next_batch(trace::MicroOp *out, std::size_t max) override;
+    std::uint64_t next_runs(RunBatch &batch,
+                            std::uint64_t max_instrs) override;
     void reset() override;
 
     /** Static code footprint in bytes. */
@@ -66,10 +67,9 @@ class CallGraphProgram final : public Workload
   private:
     struct Function
     {
-        Pc base_pc = 0;
-        std::vector<trace::InstrKind> kinds;
+        CodeBlock body;
         std::vector<std::uint32_t> callees;
-        int pattern = -1;
+        DataPattern *pattern = nullptr; ///< null when the pool is empty
     };
 
     void start_run();
