@@ -6,14 +6,8 @@
  * 70% load; ~4x faster than std::unordered_map on this access pattern
  * and allocation-free per operation after warm-up.
  *
- * The slot-index hash is a policy parameter.  FibonacciHash (the
- * FlatMap default) scatters arbitrary key distributions uniformly;
- * LocalityHash maps adjacent keys to adjacent slots for tables whose
- * keys arrive in dense sequential runs — the next-line monitor reads
- * block-1 and writes block on every access, and with a scattering
- * hash those two probes are two random cache lines per event (the
- * dominant cost of the simulation kernel's observation chain, measured
- * by BM_FlatMapPutGet vs the end-to-end pipeline).
+ * The slot-index hash is a policy parameter; FibonacciHash (the
+ * FlatMap default) scatters arbitrary key distributions uniformly.
  *
  * The all-ones key is reserved as the empty sentinel (block numbers
  * and PCs never reach it).
@@ -36,24 +30,6 @@ struct FibonacciHash
     hash(std::uint64_t key)
     {
         return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 17);
-    }
-};
-
-/**
- * Locality-preserving hash: key and key±1 land in adjacent slots (one
- * cache line covers four), so sequential key runs stream instead of
- * scattering.  The folded high bits are Fibonacci-scrambled so large
- * power-of-two key strides still spread over the table instead of
- * collapsing onto one probe chain; only strides below 2^12 index
- * untouched, and those are narrower than any table this map backs.
- */
-struct LocalityHash
-{
-    static std::size_t
-    hash(std::uint64_t key)
-    {
-        return static_cast<std::size_t>(
-            key + ((key >> 12) * 0x9e3779b97f4a7c15ULL >> 32));
     }
 };
 
@@ -197,9 +173,6 @@ class BasicFlatMap
 
 /** The default map (uniform scatter). */
 using FlatMap = BasicFlatMap<FibonacciHash>;
-
-/** Sequential-run-friendly map (see LocalityHash). */
-using LocalityFlatMap = BasicFlatMap<LocalityHash>;
 
 } // namespace leakbound::util
 
