@@ -141,31 +141,6 @@ render_report(const util::Cli &cli, const serve::ServerConfig &config,
     w.key("sessions_accepted").value(stats.sessions_accepted);
     w.key("open_connections").value(stats.open_connections);
     w.end_object();
-    // The single-daemon epoll configuration this sharded run is
-    // measured against (PR 7: one process, TCP loopback, same load
-    // shape) — the fleet must not cost warm throughput.
-    w.key("baseline_single_daemon").begin_object();
-    w.key("io_model").value("one epoll process, TCP loopback");
-    w.key("throughput_rps").value(52749.23);
-    w.key("latency_p50_ms").value(0.541);
-    w.key("latency_p99_ms").value(1.107);
-    w.key("requests").value(static_cast<std::uint64_t>(4000));
-    w.key("concurrency").value(static_cast<std::uint64_t>(8));
-    w.key("idle_connections_held").value(
-        static_cast<std::uint64_t>(1000));
-    w.end_object();
-    // The session-per-thread baseline this bench replaced (PR 5:
-    // blocking I/O, no response LRU, 32 requests over 8 fresh
-    // connections) — kept verbatim so before/after rides in one file.
-    w.key("baseline_pr5").begin_object();
-    w.key("io_model").value("thread-per-session, blocking sockets");
-    w.key("throughput_rps").value(1098.84);
-    w.key("latency_p50_ms").value(7.477);
-    w.key("latency_p99_ms").value(14.320);
-    w.key("requests").value(static_cast<std::uint64_t>(32));
-    w.key("concurrency").value(static_cast<std::uint64_t>(8));
-    w.key("idle_connections_held").value(static_cast<std::uint64_t>(0));
-    w.end_object();
     w.end_object();
     return w.str();
 }
