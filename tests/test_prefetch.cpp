@@ -206,10 +206,16 @@ class NextLineOracle
 TEST(NextLine, MatchesMapOracleOnRandomSequences)
 {
     // Blocks around the 64-block page edges (block-1 of 0, 64 and 128
-    // lies on another page, or on none), a dense low range, and a few
-    // far pages the directory must keep apart.
-    const std::vector<Addr> edges = {0,   1,   62,  63,  64,  65,
-                                     127, 128, 129, 191, 192, 193};
+    // lies on another page, or on none) and the 4096-page chunk edges
+    // (block-1 of 2^18 lies in the previous chunk's last page), a
+    // dense low range, and a few far pages the index must keep apart.
+    constexpr Addr kChunk = Addr{1} << 18;
+    const std::vector<Addr> edges = {0,          1,          62,
+                                     63,         64,         65,
+                                     127,        128,        129,
+                                     191,        192,        193,
+                                     kChunk - 1, kChunk,     kChunk + 1,
+                                     3 * kChunk - 1, 3 * kChunk};
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         util::Rng rng(seed);
         NextLineMonitor monitor;
