@@ -23,14 +23,10 @@ on_signal(int signal)
     g_pending_signal.store(signal, std::memory_order_relaxed);
 }
 
-} // namespace
-
+/** Point SIGINT and SIGTERM at the one-shot flag-setting handler. */
 void
-install_signal_handlers()
+install_interrupt_handlers()
 {
-    bool expected = false;
-    if (!g_installed.compare_exchange_strong(expected, true))
-        return;
     struct sigaction action = {};
     action.sa_handler = on_signal;
     sigemptyset(&action.sa_mask);
@@ -39,6 +35,17 @@ install_signal_handlers()
     action.sa_flags = SA_RESETHAND;
     ::sigaction(SIGINT, &action, nullptr);
     ::sigaction(SIGTERM, &action, nullptr);
+}
+
+} // namespace
+
+void
+install_signal_handlers()
+{
+    bool expected = false;
+    if (!g_installed.compare_exchange_strong(expected, true))
+        return;
+    install_interrupt_handlers();
     // A peer closing mid-write must surface as EPIPE from the write,
     // never as a process-killing SIGPIPE.  Sends through util::net use
     // MSG_NOSIGNAL already; this covers every other descriptor
@@ -75,6 +82,13 @@ void
 clear_interrupt()
 {
     g_pending_signal.store(0, std::memory_order_relaxed);
+}
+
+void
+rearm_after_fork()
+{
+    install_interrupt_handlers();
+    clear_interrupt();
 }
 
 } // namespace leakbound::util

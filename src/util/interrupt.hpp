@@ -44,6 +44,15 @@ void simulate_interrupt(int signal);
 /** Clear any pending interrupt (tests). */
 void clear_interrupt();
 
+/**
+ * In a freshly forked child: install the handlers afresh (the parent's
+ * one-shot handler may already have fired and reset to the default)
+ * and clear any interrupt inherited from the parent.  Call it with
+ * SIGINT and SIGTERM blocked and unblock them afterwards, so a signal
+ * sent to the child since the fork is handled, not lost.
+ */
+void rearm_after_fork();
+
 } // namespace leakbound::util
 
 #endif // LEAKBOUND_UTIL_INTERRUPT_HPP
