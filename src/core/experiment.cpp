@@ -353,6 +353,14 @@ run_suite_isolated(const std::vector<std::string> &names,
     SuiteOutcome outcome;
     outcome.slots.resize(names.size());
 
+    // An unknown benchmark is a user error (fatal): it dies here, on
+    // the caller's thread, before any worker spawns or the cache takes
+    // an entry lock that exit() would leave behind.
+    for (const std::string &name : names) {
+        if (!workload::is_benchmark(name))
+            (void)workload::make_benchmark(name); // fatal()s
+    }
+
     // The artifact cache turns repeat replays of a (workload, config)
     // pair into loads; keep_raw runs bypass it because raw intervals
     // are never persisted.  The config is fingerprinted once and
@@ -365,23 +373,27 @@ run_suite_isolated(const std::vector<std::string> &names,
         config_fp = fingerprint_config(config);
     }
 
-    auto run_one = [&config, &cache,
-                    config_fp](workload::Workload &workload) {
+    // A benchmark's workload is built only when its result is
+    // simulated: a cache hit is a probe and a load.  The entry key is
+    // derived from the name, which equals make_benchmark(name)->name().
+    auto run_one = [&config, &cache, config_fp](const std::string &name) {
+        auto simulate = [&name, &config] {
+            workload::WorkloadPtr w = workload::make_benchmark(name);
+            util::inform("simulating ", name, " (", config.instructions,
+                         " instructions)");
+            return run_experiment(*w, config);
+        };
         if (!cache)
-            return run_experiment(workload, config);
-        return cache->load_or_run(
-            fingerprint_entry(config_fp, workload.name()),
-            workload.name(),
-            [&workload, &config] {
-                return run_experiment(workload, config);
-            });
+            return simulate();
+        return cache->load_or_run(fingerprint_entry(config_fp, name), name,
+                                  simulate);
     };
 
     // One isolated job: every failure mode funnels into a JobOutcome —
     // never an escaping exception — so the thread-pool boundary stays
     // quiet and sibling jobs are untouched.  Transient failures retry
-    // with a fresh workload instance (the previous attempt may have
-    // half-consumed it).
+    // through run_one, which builds a fresh workload instance on a
+    // miss (the previous attempt may have half-consumed its own).
     auto attempt_job = [&run_one, &before_job,
                         &config](const std::string &name) -> JobOutcome {
         JobOutcome out;
@@ -401,10 +413,7 @@ run_suite_isolated(const std::vector<std::string> &names,
                         util::ErrorKind::FaultInjected,
                         "injected simulation fault: " + name));
                 }
-                workload::WorkloadPtr w = workload::make_benchmark(name);
-                util::inform("simulating ", name, " (",
-                             config.instructions, " instructions)");
-                out.result = run_one(*w);
+                out.result = run_one(name);
                 out.retries = attempt;
                 return out;
             } catch (const util::StatusError &e) {
@@ -433,15 +442,8 @@ run_suite_isolated(const std::vector<std::string> &names,
         // loop for any jobs value.  Cache probes run inside the
         // workers too — distinct benchmarks map to distinct entries,
         // so the per-entry lock files never contend within one suite.
-        // Names are validated on this thread first: an unknown
-        // benchmark is a user error (fatal) and should die before any
-        // worker spawns, exactly like the serial path.
-        for (const std::string &name : names) {
-            if (!workload::is_benchmark(name))
-                (void)workload::make_benchmark(name); // fatal()s
-        }
-        util::inform("simulating ", names.size(), " benchmarks on ",
-                     jobs, " threads (", config.instructions,
+        util::inform("running ", names.size(), " benchmarks on ", jobs,
+                     " threads (", config.instructions,
                      " instructions each)");
         util::ThreadPool pool(jobs);
         std::vector<std::future<JobOutcome>> futures;

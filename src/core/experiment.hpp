@@ -242,7 +242,7 @@ struct SuiteOutcome
 
 /**
  * Test/instrumentation seam: called on the worker thread right before
- * each job simulates, with the benchmark name.  A throwing hook makes
+ * each job probes the cache or simulates, with the benchmark name.  A throwing hook makes
  * that job fail exactly like a mid-simulation fault, which is how the
  * isolation tests exercise the failure path in every build (the fault
  * injector only exists in chaos builds).

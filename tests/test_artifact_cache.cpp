@@ -29,6 +29,7 @@
 
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 #include "workload/spec_suite.hpp"
 
@@ -745,6 +746,62 @@ TEST(ArtifactCache, WarmSuiteIsByteIdenticalToCold)
                   serialize_result(reference[i]))
             << names[i];
     }
+    fs::remove_all(dir);
+}
+
+TEST(ArtifactCache, WarmSuiteBuildsNoWorkload)
+{
+    // A hit is a probe and a load: the workload is built (and the
+    // "simulating" line logged right after it) only on a miss, on the
+    // serial and the pooled path alike.
+    const std::string dir = fresh_cache_dir("lb_cache_warm_log");
+    const std::vector<std::string> &names = workload::suite_names();
+    ExperimentConfig config = small_config();
+    config.cache_dir = dir;
+    ASSERT_TRUE(run_suite_isolated(names, config).failures.empty());
+
+    const util::Verbosity saved = util::verbosity();
+    util::set_verbosity(util::Verbosity::Normal);
+    for (unsigned jobs : {1u, 4u}) {
+        config.jobs = jobs;
+        ::testing::internal::CaptureStderr();
+        SuiteOutcome warm = run_suite_isolated(names, config);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        ASSERT_TRUE(warm.failures.empty()) << "jobs=" << jobs;
+        for (const auto &slot : warm.slots)
+            EXPECT_TRUE(slot && slot->from_cache) << "jobs=" << jobs;
+        std::size_t hits = 0;
+        for (std::size_t at = log.find("cache hit for ");
+             at != std::string::npos; at = log.find("cache hit for ", at + 1))
+            ++hits;
+        EXPECT_EQ(hits, names.size()) << "jobs=" << jobs << "\n" << log;
+        EXPECT_EQ(log.find("simulating"), std::string::npos)
+            << "jobs=" << jobs << "\n" << log;
+    }
+    util::set_verbosity(saved);
+    fs::remove_all(dir);
+}
+
+TEST(ArtifactCache, UnknownNameDiesBeforeTouchingTheCache)
+{
+    // The serial path validates every name before any cache I/O: an
+    // unknown benchmark exits with the user-error status and leaves
+    // neither an entry nor a stale .lock behind.
+    const std::string dir = fresh_cache_dir("lb_cache_unknown_name");
+    ExperimentConfig config = small_config();
+    config.cache_dir = dir;
+    config.jobs = 1;
+    EXPECT_EXIT((void)run_suite_isolated({"gzip", "perlbmk"}, config),
+                ::testing::ExitedWithCode(2),
+                "unknown benchmark 'perlbmk'");
+    EXPECT_EXIT((void)run_suite_isolated({"perlbmk"}, config),
+                ::testing::ExitedWithCode(2),
+                "unknown benchmark 'perlbmk'");
+    if (fs::exists(dir)) {
+        for (const auto &entry : fs::directory_iterator(dir))
+            EXPECT_NE(entry.path().extension(), ".lock") << entry.path();
+    }
+    EXPECT_FALSE(fs::exists(dir)) << "nothing ran before the name check";
     fs::remove_all(dir);
 }
 

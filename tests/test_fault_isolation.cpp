@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -126,25 +127,42 @@ TEST(FaultIsolation, TransientFailureThatRecoversLeavesNoTrace)
     const auto reference = run_suite(kNames, small_config(1));
 
     // Fail the first attempt only; the retry must succeed and the
-    // result must be byte-identical to a run that never failed.
-    std::atomic<unsigned> attempts{0};
-    SuiteJobHook hook = [&attempts](const std::string &name) {
-        if (name == "vortex" && attempts.fetch_add(1) == 0)
-            throw util::StatusError(util::Status(
-                util::ErrorKind::LockTimeout, "first try loses"));
-    };
+    // result must be byte-identical to a run that never failed.  With
+    // a cache directory the retry builds its workload inside the
+    // cache's miss callback and stores the entry.
+    const std::string dir = ::testing::TempDir() + "lb_isolation_retry";
+    std::filesystem::remove_all(dir);
+    for (const std::string &cache_dir : {std::string(), dir}) {
+        std::atomic<unsigned> attempts{0};
+        SuiteJobHook hook = [&attempts](const std::string &name) {
+            if (name == "vortex" && attempts.fetch_add(1) == 0)
+                throw util::StatusError(util::Status(
+                    util::ErrorKind::LockTimeout, "first try loses"));
+        };
 
-    SuiteOutcome outcome =
-        run_suite_isolated(kNames, small_config(4), hook);
-    EXPECT_TRUE(outcome.failures.empty());
-    EXPECT_EQ(attempts.load(), 2u);
-    ASSERT_EQ(outcome.slots.size(), kNames.size());
+        ExperimentConfig config = small_config(4);
+        config.cache_dir = cache_dir;
+        SuiteOutcome outcome = run_suite_isolated(kNames, config, hook);
+        EXPECT_TRUE(outcome.failures.empty()) << cache_dir;
+        EXPECT_EQ(attempts.load(), 2u) << cache_dir;
+        ASSERT_EQ(outcome.slots.size(), kNames.size());
+        for (std::size_t i = 0; i < kNames.size(); ++i) {
+            ASSERT_TRUE(outcome.slots[i].has_value()) << kNames[i];
+            EXPECT_FALSE(outcome.slots[i]->from_cache) << kNames[i];
+            EXPECT_EQ(serialize_result(*outcome.slots[i]),
+                      serialize_result(reference[i]))
+                << kNames[i] << " " << cache_dir;
+        }
+    }
+    ExperimentConfig warm_config = small_config(1);
+    warm_config.cache_dir = dir;
+    const auto warm = run_suite(kNames, warm_config);
     for (std::size_t i = 0; i < kNames.size(); ++i) {
-        ASSERT_TRUE(outcome.slots[i].has_value()) << kNames[i];
-        EXPECT_EQ(serialize_result(*outcome.slots[i]),
-                  serialize_result(reference[i]))
+        EXPECT_TRUE(warm[i].from_cache) << kNames[i];
+        EXPECT_EQ(serialize_result(warm[i]), serialize_result(reference[i]))
             << kNames[i];
     }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FaultIsolation, PlainExceptionsLandAsInternalErrors)

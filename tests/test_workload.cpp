@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "core/artifact_cache.hpp"
+#include "core/experiment.hpp"
 #include "workload/callgraph.hpp"
 #include "workload/data_pattern.hpp"
 #include "workload/loop_program.hpp"
@@ -298,6 +302,40 @@ TEST(SpecSuite, UnknownNameIsFatal)
 {
     EXPECT_EXIT((void)make_benchmark("perlbmk"),
                 ::testing::ExitedWithCode(2), "unknown benchmark");
+}
+
+TEST(SpecSuite, EveryNameIsItsWorkloadsNameAndKeepsItsCacheKey)
+{
+    // run_suite_isolated derives a benchmark's artifact key from the
+    // requested name and builds the workload only on a miss, so the
+    // name must be the one the workload reports.  The keys are pinned
+    // (100k instructions, standard edges) so that cache directories
+    // written by earlier builds keep hitting.
+    const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+        {"ammp", 0xf919e9e5f7016cacULL},
+        {"applu", 0xdf59918c85eaa966ULL},
+        {"gcc", 0xe51fbb5953c5af17ULL},
+        {"gzip", 0x8ddd9cf7f536d2d3ULL},
+        {"mesa", 0xa2072f4b3a829b71ULL},
+        {"vortex", 0xb62c99175e2b16c5ULL},
+        {"stream", 0x95a104c67a2a66b9ULL},
+        {"stencil", 0x9f29c4f86a1a271cULL},
+        {"chase", 0x83eb69426a08ca84ULL},
+    };
+    core::ExperimentConfig config;
+    config.instructions = 100'000;
+    config.extra_edges = core::standard_extra_edges();
+    const std::uint64_t fp = core::fingerprint_config(config);
+    for (const auto &[name, key] : pins) {
+        ASSERT_TRUE(is_benchmark(name)) << name;
+        EXPECT_EQ(make_benchmark(name)->name(), name);
+        EXPECT_EQ(core::fingerprint_entry(fp, name), key) << name;
+    }
+    // The pins cover every accepted name: the six plus the extras.
+    for (const std::string &name : suite_names())
+        EXPECT_TRUE(std::any_of(pins.begin(), pins.end(),
+                                [&](const auto &p) { return p.first == name; }))
+            << name;
 }
 
 TEST(SpecSuite, BenchmarksAreDeterministic)
