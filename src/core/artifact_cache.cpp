@@ -6,13 +6,16 @@
 #include "core/artifact_cache.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include "interval/interval_histogram.hpp"
@@ -93,6 +96,44 @@ file_age(const std::string &path)
     return std::chrono::duration_cast<std::chrono::milliseconds>(age);
 }
 
+/** This host's name, as lock files record it ("" when unknown). */
+const std::string &
+host_name()
+{
+    static const std::string name = [] {
+        char buf[256] = {};
+        if (::gethostname(buf, sizeof(buf) - 1) != 0)
+            return std::string();
+        return std::string(buf);
+    }();
+    return name;
+}
+
+/**
+ * Whether the lock file at @p path names a holder that is known dead:
+ * a "<pid> <hostname>" record from this host whose pid no longer
+ * exists.  A record from another host, an unreadable or half-written
+ * file, or a pid this process may not signal all read as alive; such
+ * locks are broken only by age.
+ */
+bool
+lock_holder_dead(const std::string &path)
+{
+    std::string record;
+    if (!util::read_file_bytes(path, record).ok() || host_name().empty())
+        return false;
+    long pid = 0;
+    char host[256] = {};
+    if (std::sscanf(record.c_str(), "%ld %255s", &pid, host) != 2 ||
+        pid <= 0 || host_name() != host)
+        return false;
+    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+}
+
+/** Bounds of the edge-list memo behind mix_edge_list(). */
+constexpr std::size_t kEdgeMemoEntries = 32;
+constexpr std::size_t kEdgeMemoMaxExtras = 1024;
+
 /**
  * Removes the lock file on scope exit, so a simulate() that throws
  * while this process owns the entry lock cannot leave the lock behind
@@ -111,6 +152,45 @@ class LockGuard
 };
 
 } // namespace
+
+std::uint64_t
+mix_edge_list(std::uint64_t state, const std::vector<Cycles> &extra_edges)
+{
+    auto derive = [&] {
+        util::Fingerprint fp(state);
+        fp.mix_u64_vector(
+            interval::IntervalHistogramSet::default_edges(extra_edges));
+        return fp.digest();
+    };
+    if (extra_edges.size() > kEdgeMemoMaxExtras)
+        return derive();
+
+    // Replaced round-robin once full: a daemon sees a handful of
+    // distinct configs, and a miss only costs one derivation.
+    struct Entry
+    {
+        std::uint64_t state;
+        std::vector<Cycles> extra_edges;
+        std::uint64_t digest;
+    };
+    static std::mutex mutex;
+    static std::vector<Entry> entries;
+    static std::size_t next_victim = 0;
+
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const Entry &entry : entries)
+        if (entry.state == state && entry.extra_edges == extra_edges)
+            return entry.digest;
+    const std::uint64_t digest = derive();
+    Entry entry{state, extra_edges, digest};
+    if (entries.size() < kEdgeMemoEntries) {
+        entries.push_back(std::move(entry));
+    } else {
+        entries[next_victim] = std::move(entry);
+        next_victim = (next_victim + 1) % kEdgeMemoEntries;
+    }
+    return digest;
+}
 
 std::uint64_t
 fingerprint_config(const ExperimentConfig &config)
@@ -132,8 +212,7 @@ fingerprint_config(const ExperimentConfig &config)
     // Hash the *derived* edge list, not extra_edges verbatim: two
     // configs whose extras dedupe/sort to the same bins produce
     // identical results and should share an entry.
-    fp.mix_u64_vector(
-        interval::IntervalHistogramSet::default_edges(config.extra_edges));
+    fp = util::Fingerprint(mix_edge_list(fp.digest(), config.extra_edges));
     // Engine + fast-path version: analytic and simulated results are
     // byte-identical by construction, but keying them apart means a
     // fast-path bug can never poison the simulated cache population.
@@ -267,10 +346,13 @@ ArtifactCache::try_lock(const std::string &path) const
     const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0)
         return false;
-    const std::string pid = std::to_string(::getpid()) + "\n";
-    // The pid is advisory debugging info; a failed write is harmless.
+    // "<pid> <hostname>" lets a waiter on this host break the lock at
+    // once when its holder died; a failed write only means the lock is
+    // broken by age instead.
+    const std::string holder =
+        std::to_string(::getpid()) + " " + host_name() + "\n";
     [[maybe_unused]] const auto ignored =
-        ::write(fd, pid.data(), pid.size());
+        ::write(fd, holder.data(), holder.size());
     ::close(fd);
     return true;
 }
@@ -315,16 +397,17 @@ ArtifactCache::try_load(std::uint64_t key) const
         return reject();
 
     const std::size_t header = bytes.size() - r.remaining();
-    const std::string payload =
-        bytes.substr(header, static_cast<std::size_t>(payload_size));
-    if (util::fnv1a(payload.data(), payload.size()) !=
-        util::BinaryReader(bytes.data() + header + payload.size(), 8)
+    auto payload = std::make_shared<const std::string>(
+        bytes.substr(header, static_cast<std::size_t>(payload_size)));
+    if (util::fnv1a(payload->data(), payload->size()) !=
+        util::BinaryReader(bytes.data() + header + payload->size(), 8)
             .get_u64())
         return reject();
 
-    auto result = deserialize_result(payload);
+    auto result = deserialize_result(*payload);
     if (!result)
         return reject();
+    result->serialized = std::move(payload);
     return result;
 }
 
@@ -355,6 +438,12 @@ ArtifactCache::health() const
 util::Status
 ArtifactCache::store(std::uint64_t key, const ExperimentResult &result) const
 {
+    return publish(key, serialize_result(result));
+}
+
+util::Status
+ArtifactCache::publish(std::uint64_t key, const std::string &payload) const
+{
     auto record_failure = [this](util::Status status) {
         const std::uint64_t failures =
             store_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -372,7 +461,6 @@ ArtifactCache::store(std::uint64_t key, const ExperimentResult &result) const
             "cannot create cache dir " + dir_ + ": " + ec.message()));
     }
 
-    const std::string payload = serialize_result(result);
     util::BinaryWriter w;
     for (char c : kEntryMagic)
         w.put_u8(static_cast<std::uint8_t>(c));
@@ -434,10 +522,12 @@ ArtifactCache::load_or_run(std::uint64_t key, const std::string &workload,
     const auto wait_start = std::chrono::steady_clock::now();
     while (!try_lock(lock)) {
         const auto lock_age = file_age(lock);
-        if (lock_age != std::chrono::milliseconds::max() &&
-            lock_age > options_.stale_age) {
+        const bool stale = lock_age != std::chrono::milliseconds::max() &&
+                           lock_age > options_.stale_age;
+        if (stale || lock_holder_dead(lock)) {
             lock_breaks_.fetch_add(1, std::memory_order_relaxed);
-            util::warn("breaking stale cache lock: ", lock);
+            util::warn("breaking ", stale ? "stale" : "dead holder's",
+                       " cache lock: ", lock);
             std::remove(lock.c_str());
             continue;
         }
@@ -478,7 +568,10 @@ ArtifactCache::load_or_run(std::uint64_t key, const std::string &workload,
         return std::move(*hit);
     }
     ExperimentResult fresh = simulate();
-    (void)store(key, fresh); // counted + demotes internally on failure
+    fresh.serialized =
+        std::make_shared<const std::string>(serialize_result(fresh));
+    // Counted, and demotes internally, on failure.
+    (void)publish(key, *fresh.serialized);
     return fresh;
 }
 

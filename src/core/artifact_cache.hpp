@@ -74,6 +74,16 @@ inline constexpr std::uint64_t kAnalyticEngineVersion = 1;
 std::uint64_t fingerprint_config(const ExperimentConfig &config);
 
 /**
+ * The edge-list step of fingerprint_config: FNV state @p state advanced
+ * over the length-prefixed IntervalHistogramSet::default_edges(
+ * @p extra_edges).  Memoized per distinct (state, extra_edges) pair in
+ * a small bounded, thread-safe table, because deriving and hashing the
+ * ~400 edges is most of a request fingerprint's cost.
+ */
+std::uint64_t mix_edge_list(std::uint64_t state,
+                            const std::vector<Cycles> &extra_edges);
+
+/**
  * Entry key from a precomputed config fingerprint and a workload name
  * (run_suite hashes the config once and derives per-benchmark keys).
  */
@@ -112,8 +122,13 @@ class ArtifactCache
         /** How long a miss waits for another writer's entry. */
         std::chrono::milliseconds wait_timeout =
             std::chrono::seconds(60);
-        /** Locks older than this are presumed dead and broken. */
-        std::chrono::milliseconds stale_age = std::chrono::seconds(120);
+        /**
+         * Locks older than this are presumed dead and broken.  No
+         * longer than wait_timeout, so a waiter breaks an abandoned
+         * lock rather than timing out on it.  A lock whose recorded
+         * holder on this host is gone is broken at once.
+         */
+        std::chrono::milliseconds stale_age = std::chrono::seconds(60);
         /** First backoff sleep while waiting on a held lock. */
         std::chrono::milliseconds backoff_initial{2};
         /** Backoff ceiling; doubling stops here. */
@@ -132,14 +147,17 @@ class ArtifactCache
     /**
      * Load the entry for @p key, or simulate and store it.
      *
-     * Miss protocol: acquire `<entry>.lock` (O_CREAT|O_EXCL), run
-     * @p simulate, publish tmp-file + rename, release.  If another
-     * process holds the lock, back off exponentially (capped, with
-     * deterministic per-key jitter) until its entry appears (then load
-     * it) or the lock goes stale (break it) or the wait times out
+     * Miss protocol: acquire `<entry>.lock` (O_CREAT|O_EXCL, holding
+     * "<pid> <hostname>"), run @p simulate, publish tmp-file + rename,
+     * release.  If another process holds the lock, back off
+     * exponentially (capped, with deterministic per-key jitter) until
+     * its entry appears (then load it), the lock goes stale or its
+     * holder on this host is gone (break it), or the wait times out
      * (then simulate locally without storing).  Either way the caller
      * gets a correct result; the cache only ever changes *where* it
      * comes from.  The lock is released even when @p simulate throws.
+     * A loaded or stored result carries its payload bytes in
+     * ExperimentResult::serialized.
      *
      * @param workload for log messages only.
      */
@@ -147,7 +165,10 @@ class ArtifactCache
     load_or_run(std::uint64_t key, const std::string &workload,
                 const std::function<ExperimentResult()> &simulate);
 
-    /** Probe for @p key without simulating (corrupt entries discard). */
+    /**
+     * Probe for @p key without simulating (corrupt entries discard).
+     * A hit carries the verified payload in ExperimentResult::serialized.
+     */
     std::optional<ExperimentResult> try_load(std::uint64_t key) const;
 
     /**
@@ -175,6 +196,10 @@ class ArtifactCache
 
   private:
     std::string lock_path(std::uint64_t key) const;
+
+    /** Checksum and atomically publish serialize_result bytes. */
+    util::Status publish(std::uint64_t key,
+                         const std::string &payload) const;
 
     /** Try to create the lock file; true when this process owns it. */
     bool try_lock(const std::string &path) const;

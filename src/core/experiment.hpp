@@ -10,6 +10,7 @@
 #define LEAKBOUND_CORE_EXPERIMENT_HPP
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -184,6 +185,13 @@ struct ExperimentResult
      * Engine::Analytic.
      */
     bool analytic = false;
+    /**
+     * The exact serialize_result bytes the artifact cache verified when
+     * it loaded this result, or wrote when it stored it; null when no
+     * cache held them.  A renderer hashes and hex-encodes these instead
+     * of re-serializing.  Shared, so copying a result stays cheap.
+     */
+    std::shared_ptr<const std::string> serialized;
 
     ExperimentResult(CacheObservation ic, CacheObservation dc)
         : icache(std::move(ic)), dcache(std::move(dc))

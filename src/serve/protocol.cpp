@@ -11,6 +11,7 @@
 #include "core/artifact_cache.hpp"
 #include "util/fingerprint.hpp"
 #include "util/json.hpp"
+#include "util/logging.hpp"
 
 namespace leakbound::serve {
 
@@ -278,7 +279,21 @@ render_run_response(const core::SuiteOutcome &outcome,
         if (!slot)
             continue;
         const core::ExperimentResult &run = *slot;
-        const std::string bytes = core::serialize_result(run);
+        // A result the artifact cache loaded or stored carries its
+        // exact payload; only one it never held is serialized here.
+        std::string fresh;
+        if (!run.serialized)
+            fresh = core::serialize_result(run);
+        const std::string &bytes = run.serialized ? *run.serialized : fresh;
+#ifndef NDEBUG
+        // Debug builds check the carried bytes against the result they
+        // travel with, so a result changed after its load or store
+        // cannot be rendered under stale bytes.
+        LEAKBOUND_ASSERT(!run.serialized ||
+                             bytes == core::serialize_result(run),
+                         "carried payload of '", run.workload,
+                         "' differs from serialize_result");
+#endif
         w.begin_object();
         w.key("benchmark").value(run.workload);
         w.key("instructions").value(run.core.instructions);

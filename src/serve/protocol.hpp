@@ -149,7 +149,9 @@ std::string render_health(const HealthSnapshot &health);
  * receives these exact bytes.  Per-benchmark entries carry
  * "result_fnv", the FNV-1a digest of core::serialize_result — the same
  * byte-identity oracle the cache tests use — and, when
- * @p request.want_payload, the full serialized result as hex.
+ * @p request.want_payload, the full serialized result as hex.  Both
+ * come from ExperimentResult::serialized when a slot carries it, and
+ * from serialize_result only when it does not.
  */
 std::string render_run_response(const core::SuiteOutcome &outcome,
                                 const core::ExperimentRequest &request,

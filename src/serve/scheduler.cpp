@@ -176,25 +176,22 @@ Scheduler::submit(core::ExperimentRequest request)
     return job->response;
 }
 
-void
+std::shared_ptr<const std::string>
 Scheduler::submit_async(core::ExperimentRequest request, Completion done)
 {
-    std::shared_ptr<const std::string> immediate;
+    util::Status rejected;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         Admission admission = admit(std::move(request), lock);
         if (admission.job != nullptr) {
             admission.job->callbacks.push_back(std::move(done));
-            return;
+            return nullptr;
         }
-        immediate =
-            admission.immediate != nullptr
-                ? std::move(admission.immediate)
-                : std::make_shared<const std::string>(
-                      render_error(admission.rejected));
+        if (admission.immediate != nullptr)
+            return std::move(admission.immediate);
+        rejected = std::move(admission.rejected);
     }
-    // Outside the lock: the callback may re-enter the scheduler.
-    done(std::move(immediate));
+    return std::make_shared<const std::string>(render_error(rejected));
 }
 
 void

@@ -43,10 +43,10 @@
  *
  * Two submission APIs share all of the above: blocking submit() (tests,
  * simple callers) parks the calling thread; submit_async() (the event
- * loop) never blocks — the completion callback is invoked either
- * synchronously (LRU hit, rejection) on the submitting thread or later
- * on a scheduler worker thread, always with fully rendered response
- * bytes.
+ * loop) never blocks — an LRU hit or a rejection is returned to the
+ * caller at once, and an admitted job's completion callback fires
+ * later on a scheduler worker thread, always with fully rendered
+ * response bytes.
  */
 
 #ifndef LEAKBOUND_SERVE_SCHEDULER_HPP
@@ -124,10 +124,10 @@ class Scheduler
 {
   public:
     /**
-     * Delivery of one submission's rendered response bytes (ok or
-     * error frame — always renderable as-is).  May run on the
-     * submitting thread (immediate outcomes) or on a scheduler worker
-     * (job completions); never with the scheduler mutex held, so a
+     * Delivery of one admitted job's rendered response bytes (ok or
+     * error frame — always renderable as-is).  Runs on a scheduler
+     * worker, or on the thread calling drain() for a job drained
+     * before it started; never with the scheduler mutex held, so a
      * callback may re-enter the scheduler.
      */
     using Completion =
@@ -149,11 +149,15 @@ class Scheduler
     submit(core::ExperimentRequest request);
 
     /**
-     * Admit @p request without blocking; @p done receives the rendered
-     * response bytes exactly once (rejections arrive as rendered error
-     * frames).  The event loop's submission path.
+     * Admit @p request without blocking.  An answer available at once
+     * (an LRU hit, or a rejection rendered as an error frame) is
+     * returned, and @p done is dropped unfired.  Otherwise nullptr is
+     * returned and @p done later receives the rendered response bytes
+     * exactly once.  The event loop's submission path: it writes an
+     * immediate answer in place.
      */
-    void submit_async(core::ExperimentRequest request, Completion done);
+    std::shared_ptr<const std::string>
+    submit_async(core::ExperimentRequest request, Completion done);
 
     /**
      * Stop admitting, fail queued jobs with ShuttingDown, wait for

@@ -162,8 +162,8 @@ Server::serve()
             if (event.readable || event.hangup)
                 handle_readable(connection);
         }
-        // Completions may have been queued by workers during the wait
-        // or synchronously by dispatch (LRU hits, rejections).
+        // Workers may have queued completions during the wait or
+        // while this batch was handled.
         drain_completions();
     }
 
@@ -396,24 +396,26 @@ Server::dispatch(Connection *connection, const std::string &payload)
             enqueue_ready(connection, render_error(decoded.status()));
             return;
         }
-        // Reserve the reply slot in request order, then hand off: the
-        // response lands via the completion queue whether the
-        // scheduler answers synchronously (LRU hit, rejection) or from
-        // a worker minutes later.
+        // Take the reply slot in request order, then hand off.  An LRU
+        // hit or a rejection comes back at once and is ready in place;
+        // the caller's flush_writes sends it in this loop iteration.
+        // Only a worker's answer travels through the completion queue
+        // and the wake-up fd.
         Reply reply;
         reply.seq = connection->next_seq++;
         reply.timed = true;
         reply.begun = std::chrono::steady_clock::now();
-        connection->replies.push_back(std::move(reply));
         const std::uint64_t connection_id = connection->id;
-        const std::uint64_t seq = connection->replies.back().seq;
-        scheduler_->submit_async(
+        const std::uint64_t seq = reply.seq;
+        reply.frame = scheduler_->submit_async(
             decoded.take(),
             [this, connection_id,
              seq](std::shared_ptr<const std::string> response) {
                 queue_completion(connection_id, seq,
                                  std::move(response));
             });
+        reply.ready = reply.frame != nullptr;
+        connection->replies.push_back(std::move(reply));
         return;
     }
 

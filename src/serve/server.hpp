@@ -9,7 +9,9 @@
  * the loop.  Compute lives in the Scheduler's fixed worker pool; the
  * loop hands a decoded run request to Scheduler::submit_async and
  * moves on, so 10k idle-or-slow clients cost zero threads and zero
- * per-connection wakeups.  Workers deliver rendered response bytes
+ * per-connection wakeups.  An answer the scheduler has at once (a
+ * response-LRU hit or a rejection) is written in place on the loop, in
+ * the same iteration.  Workers deliver rendered response bytes
  * into a mutex-guarded completion queue and kick an eventfd; the loop
  * drains the queue, matches completions to their connection by
  * (connection id, reply sequence) — both survive the connection's
@@ -172,7 +174,7 @@ class Server
     void update_write_interest(Connection *connection);
     void destroy(Connection *connection);
     void drain_completions();
-    /** Thread-safe: workers (or the loop) post a finished response. */
+    /** Thread-safe: workers (and drain) post a finished response. */
     void queue_completion(std::uint64_t connection_id, std::uint64_t seq,
                           std::shared_ptr<const std::string> response);
     void note_protocol_error();

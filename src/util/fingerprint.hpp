@@ -25,6 +25,11 @@ namespace leakbound::util {
 class Fingerprint
 {
   public:
+    Fingerprint() = default;
+
+    /** Resume a stream whose digest() so far was @p state. */
+    explicit Fingerprint(std::uint64_t state) : state_(state) {}
+
     /** Absorb raw bytes. */
     void mix_bytes(const void *data, std::size_t size);
 

@@ -5,6 +5,7 @@
 
 #include "util/logging.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,26 +13,34 @@ namespace leakbound::util {
 
 namespace {
 
-Verbosity g_verbosity = Verbosity::Normal;
+// Relaxed: suite workers read the level while another thread may set
+// it, and no other memory is published through it.
+std::atomic<Verbosity> g_verbosity{Verbosity::Normal};
 
 } // namespace
 
 void
 set_verbosity(Verbosity v)
 {
-    g_verbosity = v;
+    g_verbosity.store(v, std::memory_order_relaxed);
 }
 
 Verbosity
 verbosity()
 {
-    return g_verbosity;
+    return g_verbosity.load(std::memory_order_relaxed);
 }
 
 bool
 debug_enabled()
 {
-    return g_verbosity == Verbosity::Debug;
+    return verbosity() == Verbosity::Debug;
+}
+
+bool
+inform_enabled()
+{
+    return verbosity() != Verbosity::Quiet;
 }
 
 namespace detail {
@@ -64,8 +73,7 @@ warn_impl(const std::string &msg)
 void
 inform_impl(const std::string &msg)
 {
-    if (g_verbosity != Verbosity::Quiet)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 void

@@ -40,6 +40,9 @@ Verbosity verbosity();
 /** @return true if debug-level messages are enabled. */
 bool debug_enabled();
 
+/** @return true unless inform() output is suppressed (Verbosity::Quiet). */
+bool inform_enabled();
+
 namespace detail {
 
 /** Concatenate arbitrary streamable arguments into one string. */
@@ -92,7 +95,8 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    detail::inform_impl(detail::concat(std::forward<Args>(args)...));
+    if (inform_enabled())
+        detail::inform_impl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Report debug detail (shown only under Verbosity::Debug). */

@@ -678,6 +678,122 @@ TEST(ArtifactCache, HeldLockTimesOutWithoutStoring)
     fs::remove_all(dir);
 }
 
+namespace {
+
+std::string
+this_host()
+{
+    char buf[256] = {};
+    EXPECT_EQ(::gethostname(buf, sizeof(buf) - 1), 0);
+    return buf;
+}
+
+/** Write a lock file naming @p pid on @p host, as try_lock does. */
+void
+write_lock(const std::string &path, long pid, const std::string &host)
+{
+    std::ofstream lock(path);
+    lock << pid << ' ' << host << '\n';
+}
+
+} // namespace
+
+TEST(ArtifactCache, DeadHoldersLockIsBrokenAtOnce)
+{
+    // A holder that exited without releasing its lock, on this host:
+    // with the default lock options a waiter must not sit out the
+    // timeout, it breaks the lock and simulates and stores at once.
+    const std::string dir = fresh_cache_dir("lb_cache_dead_holder");
+    fs::create_directories(dir);
+    ArtifactCache cache(dir);
+    const std::uint64_t key = 13;
+    const std::string lock = cache.entry_path(key) + ".lock";
+
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
+    write_lock(lock, pid, this_host());
+
+    std::string held_record;
+    const auto begun = std::chrono::steady_clock::now();
+    const ExperimentResult result = cache.load_or_run(key, "gzip", [&] {
+        std::ifstream in(lock);
+        std::getline(in, held_record);
+        return sample_result();
+    });
+    const auto took = std::chrono::steady_clock::now() - begun;
+    EXPECT_LT(took, std::chrono::milliseconds(1'000));
+    EXPECT_FALSE(result.from_cache);
+    EXPECT_TRUE(fs::exists(cache.entry_path(key)));
+    EXPECT_FALSE(fs::exists(lock));
+    EXPECT_EQ(cache.health().lock_breaks, 1u);
+    EXPECT_EQ(cache.health().lock_timeouts, 0u);
+    // The lock this process took names it and this host.
+    EXPECT_EQ(held_record,
+              std::to_string(::getpid()) + " " + this_host());
+    fs::remove_all(dir);
+}
+
+TEST(ArtifactCache, LiveOrForeignHoldersLockIsWaitedOn)
+{
+    // A live holder on this host, and any holder on another host, is
+    // waited on: the lock is neither broken nor published over.
+    const std::string dir = fresh_cache_dir("lb_cache_live_holder");
+    fs::create_directories(dir);
+    ArtifactCache::LockOptions options;
+    options.wait_timeout = std::chrono::milliseconds(100);
+    options.stale_age = std::chrono::hours(1);
+    ArtifactCache cache(dir, options);
+    const std::uint64_t key = 17;
+    const std::string lock = cache.entry_path(key) + ".lock";
+
+    write_lock(lock, ::getpid(), this_host());
+    (void)cache.load_or_run(key, "gzip", [] { return sample_result(); });
+    write_lock(lock, 999'999'999, this_host() + ".elsewhere");
+    (void)cache.load_or_run(key, "gzip", [] { return sample_result(); });
+
+    EXPECT_EQ(cache.health().lock_breaks, 0u);
+    EXPECT_EQ(cache.health().lock_timeouts, 2u);
+    EXPECT_TRUE(fs::exists(lock));
+    EXPECT_FALSE(fs::exists(cache.entry_path(key)));
+    fs::remove_all(dir);
+}
+
+TEST(ArtifactCache, DefaultStaleAgeIsNoLongerThanTheWait)
+{
+    const ArtifactCache::LockOptions options;
+    EXPECT_LE(options.stale_age, options.wait_timeout);
+}
+
+TEST(ArtifactCache, CarriedBytesAreTheVerifiedPayload)
+{
+    // A stored and a loaded result both carry serialize_result's bytes,
+    // so a renderer never has to serialize them again.
+    const std::string dir = fresh_cache_dir("lb_cache_carried");
+    ArtifactCache cache(dir);
+    const std::uint64_t key = 19;
+    const std::string expected = serialize_result(sample_result());
+
+    const ExperimentResult cold =
+        cache.load_or_run(key, "gzip", [] { return sample_result(); });
+    ASSERT_NE(cold.serialized, nullptr);
+    EXPECT_EQ(*cold.serialized, expected);
+    const ExperimentResult warm =
+        cache.load_or_run(key, "gzip", [] { return sample_result(); });
+    ASSERT_TRUE(warm.from_cache);
+    ASSERT_NE(warm.serialized, nullptr);
+    EXPECT_EQ(*warm.serialized, expected);
+    auto probed = cache.try_load(key);
+    ASSERT_TRUE(probed.has_value());
+    ASSERT_NE(probed->serialized, nullptr);
+    EXPECT_EQ(*probed->serialized, expected);
+    fs::remove_all(dir);
+}
+
 TEST(ArtifactCache, UnwritableDirectoryDegradesToSimulation)
 {
     // Point the cache at a path that can never become a directory (a

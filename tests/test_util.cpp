@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util module: accumulators, histograms, the flat
- * map, RNG determinism, string formatting, tables, CSV and CLI.
+ * map, RNG determinism, string formatting, tables, CSV, CLI and
+ * logging.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "util/table.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/logging.hpp"
 
 namespace lb = leakbound;
 using namespace lb::util;
@@ -431,4 +433,40 @@ TEST(JsonWriter, WriteTextFileRoundTrips)
                          std::istreambuf_iterator<char>());
     EXPECT_EQ(contents, "{\"k\": 1}\n");
     std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------- logging
+
+namespace {
+
+/** Counts how often inform() formats it. */
+struct CountingArg
+{
+    int *formatted;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CountingArg &arg)
+{
+    ++*arg.formatted;
+    return os << "counted";
+}
+
+} // namespace
+
+TEST(Logging, QuietInformFormatsNothing)
+{
+    const Verbosity saved = verbosity();
+    int formatted = 0;
+    set_verbosity(Verbosity::Quiet);
+    inform("suppressed ", CountingArg{&formatted});
+    EXPECT_EQ(formatted, 0);
+
+    set_verbosity(Verbosity::Normal);
+    ::testing::internal::CaptureStderr();
+    inform("shown ", CountingArg{&formatted});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    set_verbosity(saved);
+    EXPECT_EQ(formatted, 1);
+    EXPECT_EQ(err, "info: shown counted\n");
 }
