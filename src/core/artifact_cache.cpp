@@ -130,6 +130,14 @@ lock_holder_dead(const std::string &path)
     return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
 }
 
+/** @p payload with the checksum its entry carries. */
+SerializedResult
+checksummed(std::string payload)
+{
+    const std::uint64_t fnv = util::fnv1a(payload.data(), payload.size());
+    return SerializedResult{std::move(payload), fnv};
+}
+
 /** Bounds of the edge-list memo behind mix_edge_list(). */
 constexpr std::size_t kEdgeMemoEntries = 32;
 constexpr std::size_t kEdgeMemoMaxExtras = 1024;
@@ -159,7 +167,8 @@ mix_edge_list(std::uint64_t state, const std::vector<Cycles> &extra_edges)
     auto derive = [&] {
         util::Fingerprint fp(state);
         fp.mix_u64_vector(
-            interval::IntervalHistogramSet::default_edges(extra_edges));
+            interval::IntervalHistogramSet::default_index(extra_edges)
+                ->edges());
         return fp.digest();
     };
     if (extra_edges.size() > kEdgeMemoMaxExtras)
@@ -268,9 +277,9 @@ serialize_result(const ExperimentResult &result)
 }
 
 std::optional<ExperimentResult>
-deserialize_result(const std::string &bytes)
+deserialize_result(std::string_view bytes)
 {
-    util::BinaryReader r(bytes);
+    util::BinaryReader r(bytes.data(), bytes.size());
     const std::string workload = r.get_string();
     cpu::CoreRunStats core;
     core.instructions = r.get_u64();
@@ -397,17 +406,22 @@ ArtifactCache::try_load(std::uint64_t key) const
         return reject();
 
     const std::size_t header = bytes.size() - r.remaining();
-    auto payload = std::make_shared<const std::string>(
-        bytes.substr(header, static_cast<std::size_t>(payload_size)));
-    if (util::fnv1a(payload->data(), payload->size()) !=
-        util::BinaryReader(bytes.data() + header + payload->size(), 8)
-            .get_u64())
+    const std::string_view payload(bytes.data() + header,
+                                   static_cast<std::size_t>(payload_size));
+    const std::uint64_t fnv = util::fnv1a(payload.data(), payload.size());
+    if (fnv != util::BinaryReader(payload.data() + payload.size(), 8)
+                   .get_u64())
         return reject();
 
-    auto result = deserialize_result(*payload);
+    auto result = deserialize_result(payload);
     if (!result)
         return reject();
-    result->serialized = std::move(payload);
+    // The read buffer becomes the carried payload: cut the header and
+    // the checksum off in place rather than copying the payload out.
+    bytes.resize(header + payload.size());
+    bytes.erase(0, header);
+    result->serialized = std::make_shared<const SerializedResult>(
+        SerializedResult{std::move(bytes), fnv});
     return result;
 }
 
@@ -438,11 +452,12 @@ ArtifactCache::health() const
 util::Status
 ArtifactCache::store(std::uint64_t key, const ExperimentResult &result) const
 {
-    return publish(key, serialize_result(result));
+    return publish(key, checksummed(serialize_result(result)));
 }
 
 util::Status
-ArtifactCache::publish(std::uint64_t key, const std::string &payload) const
+ArtifactCache::publish(std::uint64_t key,
+                       const SerializedResult &payload) const
 {
     auto record_failure = [this](util::Status status) {
         const std::uint64_t failures =
@@ -466,11 +481,11 @@ ArtifactCache::publish(std::uint64_t key, const std::string &payload) const
         w.put_u8(static_cast<std::uint8_t>(c));
     w.put_u32(kArtifactFormatVersion);
     w.put_u64(key);
-    w.put_u64(payload.size());
+    w.put_u64(payload.bytes.size());
     std::string bytes = w.take();
-    bytes += payload;
+    bytes += payload.bytes;
     util::BinaryWriter tail;
-    tail.put_u64(util::fnv1a(payload.data(), payload.size()));
+    tail.put_u64(payload.fnv);
     bytes += tail.take();
 
     util::Status wrote = util::write_file_atomic(entry_path(key), bytes);
@@ -568,8 +583,8 @@ ArtifactCache::load_or_run(std::uint64_t key, const std::string &workload,
         return std::move(*hit);
     }
     ExperimentResult fresh = simulate();
-    fresh.serialized =
-        std::make_shared<const std::string>(serialize_result(fresh));
+    fresh.serialized = std::make_shared<const SerializedResult>(
+        checksummed(serialize_result(fresh)));
     // Counted, and demotes internally, on failure.
     (void)publish(key, *fresh.serialized);
     return fresh;

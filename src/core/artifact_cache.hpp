@@ -44,6 +44,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/cache_health.hpp"
 #include "core/experiment.hpp"
@@ -102,9 +103,12 @@ std::uint64_t fingerprint_experiment(const std::string &workload,
  */
 std::string serialize_result(const ExperimentResult &result);
 
-/** Rebuild a result from serialize_result bytes; nullopt if corrupt. */
+/**
+ * Rebuild a result from serialize_result bytes in one pass; nullopt if
+ * corrupt.
+ */
 std::optional<ExperimentResult>
-deserialize_result(const std::string &bytes);
+deserialize_result(std::string_view bytes);
 
 /**
  * The cache directory for a run: @p flag_value if non-empty, else the
@@ -156,8 +160,8 @@ class ArtifactCache
      * (then simulate locally without storing).  Either way the caller
      * gets a correct result; the cache only ever changes *where* it
      * comes from.  The lock is released even when @p simulate throws.
-     * A loaded or stored result carries its payload bytes in
-     * ExperimentResult::serialized.
+     * A loaded or stored result carries its payload bytes and their
+     * checksum in ExperimentResult::serialized.
      *
      * @param workload for log messages only.
      */
@@ -167,7 +171,8 @@ class ArtifactCache
 
     /**
      * Probe for @p key without simulating (corrupt entries discard).
-     * A hit carries the verified payload in ExperimentResult::serialized.
+     * A hit carries the verified payload and its checksum in
+     * ExperimentResult::serialized.
      */
     std::optional<ExperimentResult> try_load(std::uint64_t key) const;
 
@@ -197,9 +202,9 @@ class ArtifactCache
   private:
     std::string lock_path(std::uint64_t key) const;
 
-    /** Checksum and atomically publish serialize_result bytes. */
+    /** Atomically publish serialize_result bytes and their checksum. */
     util::Status publish(std::uint64_t key,
-                         const std::string &payload) const;
+                         const SerializedResult &payload) const;
 
     /** Try to create the lock file; true when this process owns it. */
     bool try_lock(const std::string &path) const;

@@ -175,13 +175,13 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
-    auto edges =
-        interval::IntervalHistogramSet::default_edges(config.extra_edges);
+    const auto index =
+        interval::IntervalHistogramSet::default_index(config.extra_edges);
 
     sim::Hierarchy hierarchy(config.hierarchy);
     ExperimentResult result{
-        CacheObservation(interval::IntervalHistogramSet(edges)),
-        CacheObservation(interval::IntervalHistogramSet(edges))};
+        CacheObservation(interval::IntervalHistogramSet(index)),
+        CacheObservation(interval::IntervalHistogramSet(index))};
     result.workload = workload.name();
 
     interval::IntervalCollector icollector(
@@ -197,7 +197,7 @@ run_one(workload::Workload &workload, const ExperimentConfig &config,
 
     std::unique_ptr<interval::IntervalCollector> l2collector;
     if (config.collect_l2) {
-        result.l2cache.emplace(interval::IntervalHistogramSet(edges));
+        result.l2cache.emplace(interval::IntervalHistogramSet(index));
         l2collector = std::make_unique<interval::IntervalCollector>(
             hierarchy.l2().num_frames(), &result.l2cache->intervals,
             config.keep_raw);

@@ -155,6 +155,16 @@ struct CacheObservation
     }
 };
 
+/**
+ * A result's serialize_result bytes with their FNV-1a checksum, as the
+ * artifact cache verified them on a load or wrote them on a store.
+ */
+struct SerializedResult
+{
+    std::string bytes;
+    std::uint64_t fnv = 0; ///< util::fnv1a of bytes
+};
+
 /** Everything one run produced. */
 struct ExperimentResult
 {
@@ -186,12 +196,13 @@ struct ExperimentResult
      */
     bool analytic = false;
     /**
-     * The exact serialize_result bytes the artifact cache verified when
-     * it loaded this result, or wrote when it stored it; null when no
-     * cache held them.  A renderer hashes and hex-encodes these instead
-     * of re-serializing.  Shared, so copying a result stays cheap.
+     * The exact serialize_result bytes, and their checksum, that the
+     * artifact cache verified when it loaded this result or wrote when
+     * it stored it; null when no cache held them.  A renderer prints
+     * the checksum and hex-encodes the bytes instead of re-serializing
+     * and re-hashing.  Shared, so copying a result stays cheap.
      */
-    std::shared_ptr<const std::string> serialized;
+    std::shared_ptr<const SerializedResult> serialized;
 
     ExperimentResult(CacheObservation ic, CacheObservation dc)
         : icache(std::move(ic)), dcache(std::move(dc))

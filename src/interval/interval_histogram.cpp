@@ -6,6 +6,7 @@
 #include "interval/interval_histogram.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "power/technology.hpp"
 #include "util/logging.hpp"
@@ -21,24 +22,39 @@ constexpr std::size_t kTrailingSlot = kInnerSlots + 1;
 constexpr std::size_t kUntouchedSlot = kInnerSlots + 2;
 constexpr std::size_t kNumSlots = kInnerSlots + 3;
 
+/** Bounds of the memo behind default_index(). */
+constexpr std::size_t kIndexMemoEntries = 32;
+constexpr std::size_t kIndexMemoMaxExtras = 1024;
+
 } // namespace
 
 IntervalHistogramSet::IntervalHistogramSet(std::vector<std::uint64_t> edges)
-    : index_(util::EdgeIndex::make(std::move(edges)))
+    : IntervalHistogramSet(util::EdgeIndex::make(std::move(edges)))
 {
-    LEAKBOUND_ASSERT(!index_->edges().empty() &&
-                         index_->edges().front() == 0,
-                     "interval histogram edges must start at 0");
-    hists_.reserve(kNumSlots);
+}
+
+IntervalHistogramSet::IntervalHistogramSet(
+    std::shared_ptr<const util::EdgeIndex> index)
+    : IntervalHistogramSet(std::move(index), Unfilled{})
+{
     for (std::size_t i = 0; i < kNumSlots; ++i)
         hists_.emplace_back(index_);
+}
+
+IntervalHistogramSet::IntervalHistogramSet(
+    std::shared_ptr<const util::EdgeIndex> index, Unfilled)
+    : index_(std::move(index))
+{
+    LEAKBOUND_ASSERT(index_ != nullptr && index_->edges().front() == 0,
+                     "interval histogram edges must start at 0");
+    hists_.reserve(kNumSlots);
 }
 
 IntervalHistogramSet
 IntervalHistogramSet::with_default_edges(
     const std::vector<Cycles> &extra_thresholds)
 {
-    return IntervalHistogramSet(default_edges(extra_thresholds));
+    return IntervalHistogramSet(default_index(extra_thresholds));
 }
 
 void
@@ -211,17 +227,56 @@ IntervalHistogramSet::deserialize(util::BinaryReader &r)
         edges.push_back(edge);
     }
 
-    IntervalHistogramSet set(std::move(edges));
-    if (r.get_varint() != set.hists_.size() || r.failed())
+    IntervalHistogramSet set(util::EdgeIndex::make(std::move(edges)),
+                             Unfilled{});
+    if (r.get_varint() != kNumSlots || r.failed())
         return std::nullopt;
-    for (util::Histogram &h : set.hists_)
-        if (!h.read_bins(r))
+    for (std::size_t i = 0; i < kNumSlots; ++i) {
+        auto h = util::Histogram::read_bins(set.index_, r);
+        if (!h)
             return std::nullopt;
+        set.hists_.push_back(std::move(*h));
+    }
     set.num_frames_ = r.get_varint();
     set.total_cycles_ = r.get_varint();
     if (r.failed())
         return std::nullopt;
     return set;
+}
+
+std::shared_ptr<const util::EdgeIndex>
+IntervalHistogramSet::default_index(const std::vector<Cycles> &extra)
+{
+    auto build = [&extra] {
+        return util::EdgeIndex::make(default_edges(extra));
+    };
+    if (extra.size() > kIndexMemoMaxExtras)
+        return build();
+
+    // Replaced round-robin once full: a process sees a handful of
+    // distinct extra lists, and a miss only costs one build.
+    struct Entry
+    {
+        std::vector<Cycles> extra;
+        std::shared_ptr<const util::EdgeIndex> index;
+    };
+    static std::mutex mutex;
+    static std::vector<Entry> entries;
+    static std::size_t next_victim = 0;
+
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const Entry &entry : entries)
+        if (entry.extra == extra)
+            return entry.index;
+    Entry entry{extra, build()};
+    auto index = entry.index;
+    if (entries.size() < kIndexMemoEntries) {
+        entries.push_back(std::move(entry));
+    } else {
+        entries[next_victim] = std::move(entry);
+        next_victim = (next_victim + 1) % kIndexMemoEntries;
+    }
+    return index;
 }
 
 std::vector<std::uint64_t>

@@ -52,7 +52,11 @@ class IntervalHistogramSet
     /** Construct with explicit bin edges (must include 0). */
     explicit IntervalHistogramSet(std::vector<std::uint64_t> edges);
 
-    /** Construct with default_edges(extra_thresholds). */
+    /** Construct over a prebuilt shared index (edges must include 0). */
+    explicit IntervalHistogramSet(
+        std::shared_ptr<const util::EdgeIndex> index);
+
+    /** Construct over default_index(extra_thresholds). */
     static IntervalHistogramSet
     with_default_edges(const std::vector<Cycles> &extra_thresholds = {});
 
@@ -146,7 +150,25 @@ class IntervalHistogramSet
     static std::vector<std::uint64_t>
     default_edges(const std::vector<Cycles> &extra_thresholds = {});
 
+    /**
+     * The shared edge index over default_edges(@p extra_thresholds),
+     * derived and built once per process for each distinct extra list.
+     * A small bounded, thread-safe memo keeps the indexes alive, so
+     * runs, and decodes of entries over those edges (through
+     * util::EdgeIndex::make's interning), share one index even while
+     * no result holds it.
+     */
+    static std::shared_ptr<const util::EdgeIndex>
+    default_index(const std::vector<Cycles> &extra_thresholds = {});
+
   private:
+    /** A set whose histograms deserialize() fills in. */
+    struct Unfilled
+    {
+    };
+    IntervalHistogramSet(std::shared_ptr<const util::EdgeIndex> index,
+                         Unfilled);
+
     /**
      * Histogram slot index for (kind, pf, reuse): Inner intervals use
      * slots pf * 2 + reuse, then Leading / Trailing / Untouched.

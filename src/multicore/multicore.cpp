@@ -86,11 +86,11 @@ class Engine
           l1d_line_shift_(config.hierarchy.l1d.line_shift()),
           l2_line_shift_(config.hierarchy.l2.line_shift())
     {
-        const auto edges = interval::IntervalHistogramSet::default_edges(
+        const auto index = interval::IntervalHistogramSet::default_index(
             config.extra_edges);
 
         if (config.collect_l2) {
-            l2_sink_.emplace(edges);
+            l2_sink_.emplace(index);
             l2_collector_.emplace(l2_.num_frames(), &*l2_sink_);
         }
 
@@ -100,8 +100,8 @@ class Engine
              i < static_cast<std::uint32_t>(names.size()); ++i) {
             auto node = std::make_unique<Node>();
             node->workload_name = names[i];
-            node->isink.emplace(edges);
-            node->dsink.emplace(edges);
+            node->isink.emplace(index);
+            node->dsink.emplace(index);
             node->hierarchy = std::make_unique<sim::Hierarchy>(
                 config.hierarchy, &l2_, i);
             node->icollector =

@@ -39,12 +39,16 @@ class StridePredictor
     /**
      * Observe a load/store by instruction @p pc to byte address
      * @p addr.  @return true when a twice-confirmed stride predicted
-     * an address in the same cache line of @p line_bytes granularity.
-     * Header-inline: this is a per-memory-op call on the simulation
-     * kernel's hot path.
+     * exactly @p addr.  Prediction is exact-address: the predictor
+     * issues last_addr + stride, which is @p addr exactly when this
+     * access repeats the confirmed stride, so the line size never
+     * changes the answer (a different stride landing in the predicted
+     * line is not covered).  The line-size argument is kept for
+     * callers that pass it.  Header-inline: this is a per-memory-op
+     * call on the simulation kernel's hot path.
      */
     bool
-    access(Pc pc, Addr addr, std::uint32_t line_bytes = 64)
+    access(Pc pc, Addr addr, std::uint32_t /*line_bytes*/ = 64)
     {
         ++observed_;
         Entry &e = slot_for(pc);
@@ -55,14 +59,9 @@ class StridePredictor
                 static_cast<std::int64_t>(addr) -
                 static_cast<std::int64_t>(e.last_addr);
             // Prediction check happens against the state *before* this
-            // access: the predictor would have issued last_addr + stride.
-            if (e.confidence >= config_.confirmations &&
-                stride == e.stride) {
-                const Addr predicted_addr = static_cast<Addr>(
-                    static_cast<std::int64_t>(e.last_addr) + e.stride);
-                predicted =
-                    (predicted_addr / line_bytes) == (addr / line_bytes);
-            }
+            // access.
+            predicted = e.confidence >= config_.confirmations &&
+                        stride == e.stride;
             // Learn.
             if (stride == e.stride) {
                 if (e.confidence < ~0u)

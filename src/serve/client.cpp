@@ -85,7 +85,7 @@ build_run_request(const RunRequest &request)
     if (!request.workload_mix.empty())
         w.key("workload_mix").value(request.workload_mix);
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -95,7 +95,7 @@ build_stats_request()
     w.begin_object();
     w.key("type").value("stats");
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -105,7 +105,7 @@ build_ping_request()
     w.begin_object();
     w.key("type").value("ping");
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -115,7 +115,7 @@ build_health_request()
     w.begin_object();
     w.key("type").value("health");
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 util::Expected<std::uint64_t>

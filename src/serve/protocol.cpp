@@ -1,7 +1,7 @@
 /**
  * @file
  * Implementation of the leakboundd wire protocol: frame codec, hex
- * payload encoding, and the response renderers.
+ * payload decoding, and the response renderers.
  */
 
 #include "serve/protocol.hpp"
@@ -120,19 +120,6 @@ recv_frame_deadline(const util::net::Socket &socket,
     return payload;
 }
 
-std::string
-hex_encode(const std::string &bytes)
-{
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (const unsigned char byte : bytes) {
-        out.push_back(kDigits[byte >> 4]);
-        out.push_back(kDigits[byte & 0xf]);
-    }
-    return out;
-}
-
 namespace {
 
 int
@@ -181,7 +168,7 @@ render_error(const util::Status &status)
     w.key("kind").value(util::error_kind_name(status.kind()));
     w.key("message").value(status.message());
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -192,7 +179,7 @@ render_pong()
     w.key("status").value("ok");
     w.key("type").value("pong");
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 void
@@ -230,7 +217,7 @@ render_stats(const StatsSnapshot &stats)
     w.key("type").value("stats");
     write_stats_fields(w, stats);
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -246,7 +233,7 @@ render_health(const HealthSnapshot &health)
     w.key("draining").value(health.draining);
     w.key("uptime_seconds").value(health.uptime_seconds);
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -261,6 +248,14 @@ render_run_response(const core::SuiteOutcome &outcome,
             ++(slot->from_cache ? loaded : simulated);
 
     util::JsonWriter w;
+    if (request.want_payload) {
+        // Two hex digits per payload byte, plus the fixed members.
+        std::size_t payload_bytes = 0;
+        for (const auto &slot : outcome.slots)
+            if (slot && slot->serialized)
+                payload_bytes += slot->serialized->bytes.size();
+        w.reserve(2 * payload_bytes + 4096);
+    }
     w.begin_object();
     w.key("status").value("ok");
     w.key("type").value("run");
@@ -280,19 +275,27 @@ render_run_response(const core::SuiteOutcome &outcome,
             continue;
         const core::ExperimentResult &run = *slot;
         // A result the artifact cache loaded or stored carries its
-        // exact payload; only one it never held is serialized here.
-        std::string fresh;
-        if (!run.serialized)
-            fresh = core::serialize_result(run);
-        const std::string &bytes = run.serialized ? *run.serialized : fresh;
+        // exact payload and checksum; only one it never held is
+        // serialized and hashed here.
+        core::SerializedResult fresh;
+        if (!run.serialized) {
+            fresh.bytes = core::serialize_result(run);
+            fresh.fnv = util::fnv1a(fresh.bytes.data(), fresh.bytes.size());
+        }
+        const core::SerializedResult &payload =
+            run.serialized ? *run.serialized : fresh;
 #ifndef NDEBUG
-        // Debug builds check the carried bytes against the result they
-        // travel with, so a result changed after its load or store
-        // cannot be rendered under stale bytes.
+        // Debug builds check the carried bytes and checksum against the
+        // result they travel with, so a result changed after its load
+        // or store cannot be rendered under stale bytes.
         LEAKBOUND_ASSERT(!run.serialized ||
-                             bytes == core::serialize_result(run),
+                             payload.bytes == core::serialize_result(run),
                          "carried payload of '", run.workload,
                          "' differs from serialize_result");
+        LEAKBOUND_ASSERT(payload.fnv == util::fnv1a(payload.bytes.data(),
+                                                    payload.bytes.size()),
+                         "carried checksum of '", run.workload,
+                         "' differs from its payload's");
 #endif
         w.begin_object();
         w.key("benchmark").value(run.workload);
@@ -301,10 +304,9 @@ render_run_response(const core::SuiteOutcome &outcome,
         w.key("ipc").value(run.core.ipc());
         w.key("from_cache").value(run.from_cache);
         w.key("engine").value(run.analytic ? "analytic" : "sim");
-        w.key("result_fnv")
-            .value(util::hex64(util::fnv1a(bytes.data(), bytes.size())));
+        w.key("result_fnv").value(util::hex64(payload.fnv));
         if (request.want_payload)
-            w.key("payload").value(hex_encode(bytes));
+            w.key("payload").hex_value(payload.bytes);
         w.end_object();
     }
     w.end_array();
@@ -329,7 +331,7 @@ render_run_response(const core::SuiteOutcome &outcome,
     w.key("degraded").value(outcome.cache.degraded);
     w.end_object();
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 } // namespace leakbound::serve

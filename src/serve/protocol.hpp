@@ -78,10 +78,11 @@ util::Expected<std::string>
 recv_frame_deadline(const util::net::Socket &socket,
                     std::size_t max_frame, int deadline_ms);
 
-/** Lower-case hex of @p bytes (the "payload" member encoding). */
-std::string hex_encode(const std::string &bytes);
-
-/** Inverse of hex_encode; CorruptData on odd length or non-hex. */
+/**
+ * The bytes behind a "payload" member's lower-case hex (written by
+ * util::JsonWriter::hex_value); upper case is accepted too.
+ * CorruptData on odd length or non-hex.
+ */
 util::Expected<std::string> hex_decode(const std::string &hex);
 
 /** Render the error response frame for @p status. */
@@ -150,8 +151,9 @@ std::string render_health(const HealthSnapshot &health);
  * "result_fnv", the FNV-1a digest of core::serialize_result — the same
  * byte-identity oracle the cache tests use — and, when
  * @p request.want_payload, the full serialized result as hex.  Both
- * come from ExperimentResult::serialized when a slot carries it, and
- * from serialize_result only when it does not.
+ * come from ExperimentResult::serialized (its checksum and bytes) when
+ * a slot carries it, and from serialize_result and one hash only when
+ * it does not.
  */
 std::string render_run_response(const core::SuiteOutcome &outcome,
                                 const core::ExperimentRequest &request,

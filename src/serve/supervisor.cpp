@@ -656,7 +656,7 @@ Supervisor::render_fleet_health() const
     }
     w.end_array();
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -735,7 +735,7 @@ Supervisor::render_fleet_stats()
     w.key("stats_errors").value(counters_.stats_errors);
     w.end_object();
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -764,7 +764,7 @@ Supervisor::render_crash_report(const Shard &shard) const
     w.key("restarts_total").value(counters_.restarts_total);
     w.key("last_exit").value(describe_exit(shard.last_exit_status));
     w.end_object();
-    return w.str();
+    return w.take();
 }
 
 util::Status

@@ -154,7 +154,7 @@ BinaryReader::get_string()
 }
 
 std::uint64_t
-BinaryReader::get_varint()
+BinaryReader::get_varint_slow()
 {
     std::uint64_t v = 0;
     for (int i = 0;; ++i) {

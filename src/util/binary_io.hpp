@@ -92,9 +92,40 @@ class BinaryReader
      * than 10 bytes, on a 10th byte above 1 (a value past 64 bits) and
      * on a non-minimal encoding (a trailing zero byte), so every value
      * has exactly one accepted encoding and decode->encode is a fixed
-     * point.
+     * point.  Inline: the artifact decoder reads one per edge and
+     * three per non-empty bin.  With 10 or more bytes left (the longest
+     * encoding) the bounds are checked once for the whole varint;
+     * nearer the end each byte is checked (get_varint_slow).  Both
+     * paths accept, reject and advance identically.
      */
-    std::uint64_t get_varint();
+    std::uint64_t
+    get_varint()
+    {
+        if (failed_ || size_ - pos_ < 10)
+            return get_varint_slow();
+        const auto *p = reinterpret_cast<const unsigned char *>(data_ + pos_);
+        std::uint64_t v = p[0];
+        if (v < 0x80) {
+            ++pos_;
+            return v;
+        }
+        v &= 0x7f;
+        for (std::size_t i = 1; i < 10; ++i) {
+            const std::uint64_t byte = p[i];
+            v |= (byte & 0x7f) << (7 * i);
+            if (byte >= 0x80 && i < 9)
+                continue;
+            pos_ += i + 1;
+            // The same rules as get_varint_slow: the 10th byte holds
+            // bit 63 alone, and a zero final byte is a padded encoding.
+            if (byte == 0 || (i == 9 && byte > 1)) {
+                failed_ = true;
+                return 0;
+            }
+            return v;
+        }
+        return 0; // unreachable: byte 10 always ends the loop
+    }
 
     /** Whether any read so far ran out of bounds. */
     bool failed() const { return failed_; }
@@ -108,6 +139,9 @@ class BinaryReader
   private:
     /** Check that @p n more bytes exist; latch failed_ otherwise. */
     bool want(std::size_t n);
+
+    /** get_varint checking the bounds of every byte. */
+    std::uint64_t get_varint_slow();
 
     const char *data_;
     std::size_t size_;

@@ -132,15 +132,16 @@ Histogram::write_bins(BinaryWriter &w) const
     }
 }
 
-bool
-Histogram::read_bins(BinaryReader &r)
+std::optional<Histogram>
+Histogram::read_bins(std::shared_ptr<const EdgeIndex> index,
+                     BinaryReader &r)
 {
     const std::uint64_t n = r.get_varint();
     const std::uint64_t non_empty = r.get_varint();
-    if (r.failed() || n != bins_.size() || non_empty > n)
-        return false;
-    std::fill(bins_.begin(), bins_.end(), HistBin{});
-    std::uint64_t index = 0;
+    if (r.failed() || n != index->num_bins() || non_empty > n)
+        return std::nullopt;
+    Histogram h(std::move(index));
+    std::uint64_t at = 0;
     for (std::uint64_t k = 0; k < non_empty; ++k) {
         // The first delta is the bin index itself; later ones must
         // advance, so each bin appears once and in order.
@@ -148,13 +149,13 @@ Histogram::read_bins(BinaryReader &r)
         HistBin b;
         b.count = r.get_varint();
         b.sum = r.get_varint();
-        if (r.failed() || (k > 0 && delta == 0) || delta >= n - index ||
+        if (r.failed() || (k > 0 && delta == 0) || delta >= n - at ||
             (b.count | b.sum) == 0)
-            return false;
-        index += delta;
-        bins_[index] = b;
+            return std::nullopt;
+        at += delta;
+        h.bins_[at] = b;
     }
-    return true;
+    return h;
 }
 
 std::vector<std::uint64_t>

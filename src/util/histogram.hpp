@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,13 +138,15 @@ class Histogram
     void write_bins(BinaryWriter &w) const;
 
     /**
-     * Replace the bin contents with bins read from @p r, written by
-     * write_bins over an identical edge list.  @return false (leaving
-     * the histogram unspecified) when the input is truncated, its bin
-     * count does not match this histogram's edges, or a bin entry is
-     * out of range, out of order or empty.
+     * A histogram over @p index holding the bins read from @p r,
+     * written by write_bins over an identical edge list.  The bins are
+     * zeroed once, as the histogram is built, and then only the
+     * non-empty ones are written.  @return nullopt when the input is
+     * truncated, its bin count does not match @p index, or a bin entry
+     * is out of range, out of order or empty.
      */
-    bool read_bins(BinaryReader &r);
+    static std::optional<Histogram>
+    read_bins(std::shared_ptr<const EdgeIndex> index, BinaryReader &r);
 
     /**
      * Build a log2-spaced edge list covering [1, max_value], useful for

@@ -5,21 +5,46 @@
 
 #include "util/json.hpp"
 
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/fault_injection.hpp"
 #include "util/logging.hpp"
 
 namespace leakbound::util {
 
-std::string
-json_escape(const std::string &s)
+namespace {
+
+/** "00".."ff": the two lower-case hex digits of every byte value. */
+constexpr std::array<char, 512> kHexPairs = [] {
+    constexpr char digits[] = "0123456789abcdef";
+    std::array<char, 512> pairs{};
+    for (std::size_t b = 0; b < 256; ++b) {
+        pairs[2 * b] = digits[b >> 4];
+        pairs[2 * b + 1] = digits[b & 0xf];
+    }
+    return pairs;
+}();
+
+/**
+ * Append @p s to @p out escaped for a JSON string literal.  Runs of
+ * bytes that need no escape are appended in one go; bytes >= 0x80 pass
+ * through unchanged.
+ */
+void
+append_escaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -27,15 +52,31 @@ json_escape(const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out.append(&kHexPairs[2 * c], 2);
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+/** Append the decimal digits of an integer. */
+template <typename Int>
+void
+append_integer(std::string &out, Int v)
+{
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+} // namespace
+
+std::string
+json_escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    append_escaped(out, s);
     return out;
 }
 
@@ -44,9 +85,8 @@ JsonWriter::JsonWriter() = default;
 void
 JsonWriter::newline_indent()
 {
-    out_ << '\n';
-    for (std::size_t i = 0; i < scopes_.size(); ++i)
-        out_ << "  ";
+    out_ += '\n';
+    out_.append(2 * scopes_.size(), ' ');
 }
 
 void
@@ -61,16 +101,24 @@ JsonWriter::before_value()
         return; // key() already handled comma/indent
     }
     if (has_entries_.back())
-        out_ << ',';
+        out_ += ',';
     newline_indent();
     has_entries_.back() = true;
+}
+
+void
+JsonWriter::write_string(std::string_view v)
+{
+    out_ += '"';
+    append_escaped(out_, v);
+    out_ += '"';
 }
 
 JsonWriter &
 JsonWriter::begin_object()
 {
     before_value();
-    out_ << '{';
+    out_ += '{';
     scopes_.push_back(Scope::Object);
     has_entries_.push_back(false);
     return *this;
@@ -87,7 +135,7 @@ JsonWriter::end_object()
     has_entries_.pop_back();
     if (had)
         newline_indent();
-    out_ << '}';
+    out_ += '}';
     return *this;
 }
 
@@ -95,7 +143,7 @@ JsonWriter &
 JsonWriter::begin_array()
 {
     before_value();
-    out_ << '[';
+    out_ += '[';
     scopes_.push_back(Scope::Array);
     has_entries_.push_back(false);
     return *this;
@@ -111,7 +159,7 @@ JsonWriter::end_array()
     has_entries_.pop_back();
     if (had)
         newline_indent();
-    out_ << ']';
+    out_ += ']';
     return *this;
 }
 
@@ -122,10 +170,11 @@ JsonWriter::key(const std::string &name)
                      "JSON key outside an object");
     LEAKBOUND_ASSERT(!pending_key_, "two JSON keys in a row");
     if (has_entries_.back())
-        out_ << ',';
+        out_ += ',';
     newline_indent();
     has_entries_.back() = true;
-    out_ << '"' << json_escape(name) << "\": ";
+    write_string(name);
+    out_ += ": ";
     pending_key_ = true;
     return *this;
 }
@@ -134,14 +183,16 @@ JsonWriter &
 JsonWriter::value(const std::string &v)
 {
     before_value();
-    out_ << '"' << json_escape(v) << '"';
+    write_string(v);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const char *v)
 {
-    return value(std::string(v));
+    before_value();
+    write_string(v);
+    return *this;
 }
 
 JsonWriter &
@@ -149,8 +200,8 @@ JsonWriter::value(double v)
 {
     before_value();
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out_ << buf;
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out_.append(buf, static_cast<std::size_t>(n));
     return *this;
 }
 
@@ -158,7 +209,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     before_value();
-    out_ << v;
+    append_integer(out_, v);
     return *this;
 }
 
@@ -166,7 +217,7 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     before_value();
-    out_ << v;
+    append_integer(out_, v);
     return *this;
 }
 
@@ -174,7 +225,7 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     before_value();
-    out_ << (v ? "true" : "false");
+    out_ += v ? "true" : "false";
     return *this;
 }
 
@@ -182,7 +233,7 @@ JsonWriter &
 JsonWriter::null()
 {
     before_value();
-    out_ << "null";
+    out_ += "null";
     return *this;
 }
 
@@ -193,6 +244,22 @@ JsonWriter::value(const std::vector<std::string> &v)
     for (const std::string &s : v)
         value(s);
     return end_array();
+}
+
+JsonWriter &
+JsonWriter::hex_value(std::string_view bytes)
+{
+    before_value();
+    const std::size_t start = out_.size();
+    out_.resize(start + 2 * bytes.size() + 2);
+    char *p = out_.data() + start;
+    *p++ = '"';
+    for (const char byte : bytes) {
+        std::memcpy(p, &kHexPairs[2 * static_cast<unsigned char>(byte)], 2);
+        p += 2;
+    }
+    *p = '"';
+    return *this;
 }
 
 bool

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,7 +24,7 @@
 namespace leakbound::util {
 
 /** Escape @p s for inclusion inside a JSON string literal (no quotes). */
-std::string json_escape(const std::string &s);
+std::string json_escape(std::string_view s);
 
 /**
  * Streaming JSON emitter with explicit structure calls.  Usage:
@@ -37,7 +36,7 @@ std::string json_escape(const std::string &s);
  *   ...
  *   w.end_array();
  *   w.end_object();
- *   write_file(path, w.str());
+ *   write_file(path, w.take());
  * @endcode
  *
  * Structural misuse (e.g. end_array() with no open array) panics: the
@@ -67,16 +66,31 @@ class JsonWriter
     /** Convenience: an array of strings in one call. */
     JsonWriter &value(const std::vector<std::string> &v);
 
+    /**
+     * A string value holding the lower-case hex of @p bytes.  Hex
+     * digits never need escaping, so they are written straight into
+     * the document from a digit-pair table.
+     */
+    JsonWriter &hex_value(std::string_view bytes);
+
+    /** Reserve room for a document of about @p bytes. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
     /** The document so far (call after the root closes). */
-    std::string str() const { return out_.str(); }
+    const std::string &str() const { return out_; }
+
+    /** Move the document out (the writer is empty afterwards). */
+    std::string take() { return std::move(out_); }
 
   private:
     enum class Scope : std::uint8_t { Object, Array };
 
     void before_value();
     void newline_indent();
+    /** Append @p v as a quoted, escaped JSON string. */
+    void write_string(std::string_view v);
 
-    std::ostringstream out_;
+    std::string out_;
     std::vector<Scope> scopes_;
     /** Whether the current scope already holds at least one entry. */
     std::vector<bool> has_entries_;

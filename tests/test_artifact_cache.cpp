@@ -29,6 +29,7 @@
 
 #include "core/artifact_cache.hpp"
 #include "core/experiment.hpp"
+#include "util/fingerprint.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 #include "workload/spec_suite.hpp"
@@ -771,26 +772,32 @@ TEST(ArtifactCache, DefaultStaleAgeIsNoLongerThanTheWait)
 
 TEST(ArtifactCache, CarriedBytesAreTheVerifiedPayload)
 {
-    // A stored and a loaded result both carry serialize_result's bytes,
-    // so a renderer never has to serialize them again.
+    // A stored and a loaded result both carry serialize_result's bytes
+    // and their checksum, so a renderer never has to serialize or hash
+    // them again.
     const std::string dir = fresh_cache_dir("lb_cache_carried");
     ArtifactCache cache(dir);
     const std::uint64_t key = 19;
     const std::string expected = serialize_result(sample_result());
+    const std::uint64_t expected_fnv =
+        util::fnv1a(expected.data(), expected.size());
 
     const ExperimentResult cold =
         cache.load_or_run(key, "gzip", [] { return sample_result(); });
     ASSERT_NE(cold.serialized, nullptr);
-    EXPECT_EQ(*cold.serialized, expected);
+    EXPECT_EQ(cold.serialized->bytes, expected);
+    EXPECT_EQ(cold.serialized->fnv, expected_fnv);
     const ExperimentResult warm =
         cache.load_or_run(key, "gzip", [] { return sample_result(); });
     ASSERT_TRUE(warm.from_cache);
     ASSERT_NE(warm.serialized, nullptr);
-    EXPECT_EQ(*warm.serialized, expected);
+    EXPECT_EQ(warm.serialized->bytes, expected);
+    EXPECT_EQ(warm.serialized->fnv, expected_fnv);
     auto probed = cache.try_load(key);
     ASSERT_TRUE(probed.has_value());
     ASSERT_NE(probed->serialized, nullptr);
-    EXPECT_EQ(*probed->serialized, expected);
+    EXPECT_EQ(probed->serialized->bytes, expected);
+    EXPECT_EQ(probed->serialized->fnv, expected_fnv);
     fs::remove_all(dir);
 }
 

@@ -65,16 +65,33 @@ TEST(Stride, NegativeStridesWork)
     EXPECT_TRUE(p.access(pc, 0x4d00));
 }
 
-TEST(Stride, SubLinePredictionCountsByLine)
+TEST(Stride, ConfirmedSubLineStrideIsPredicted)
 {
-    // An 8-byte stride predicts the right line almost always; the
-    // check is at line granularity (the prefetcher fetches lines).
+    // A repeated 8-byte stride is predicted like any other: prediction
+    // is exact-address, so a stride shorter than a line is no special
+    // case.
     StridePredictor p;
     const Pc pc = 0x4000;
     p.access(pc, 0x1000);
     p.access(pc, 0x1008);
     p.access(pc, 0x1010);
     EXPECT_TRUE(p.access(pc, 0x1018, 64));
+}
+
+TEST(Stride, ChangedStrideWithinTheLineIsNotPredicted)
+{
+    // The confirmed 8-byte stride predicts 0x1018; a 4-byte step to
+    // 0x1014 lands in that same 64-byte line but is not the predicted
+    // address, so it is not covered, whatever the line size.
+    for (const std::uint32_t line : {64u, 128u, 4096u}) {
+        StridePredictor p;
+        const Pc pc = 0x4000;
+        p.access(pc, 0x1000, line);
+        p.access(pc, 0x1008, line);
+        p.access(pc, 0x1010, line);
+        EXPECT_FALSE(p.access(pc, 0x1014, line)) << "line " << line;
+        EXPECT_EQ(p.covered(), 0u);
+    }
 }
 
 TEST(Stride, DistinctPcsTrackIndependently)

@@ -226,8 +226,14 @@ TEST(Hex, RoundTripsArbitraryBytes)
     std::string bytes;
     for (int i = 0; i < 256; ++i)
         bytes.push_back(static_cast<char>(i));
-    const std::string hex = hex_encode(bytes);
-    EXPECT_EQ(hex.size(), 512u);
+    // The "payload" encoding: a JSON string of lower-case hex.
+    util::JsonWriter w;
+    w.hex_value(bytes);
+    const std::string doc = w.take();
+    ASSERT_EQ(doc.size(), 514u);
+    const std::string hex = doc.substr(1, 512);
+    EXPECT_EQ(doc.front(), '"');
+    EXPECT_EQ(doc.back(), '"');
     auto decoded = hex_decode(hex);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded.value(), bytes);

@@ -294,12 +294,27 @@ TEST(ServedBytes, FiveRoutesServeIdenticalPayloads)
     const std::vector<core::ExperimentResult> offline =
         core::run_suite(request.benchmarks, config);
 
+    // The offline route renders results that carry no payload bytes.
+    core::ExperimentRequest offline_request;
+    offline_request.benchmarks = request.benchmarks;
+    offline_request.config = config;
+    offline_request.want_payload = true;
+    core::SuiteOutcome offline_outcome;
+    for (const core::ExperimentResult &result : offline)
+        offline_outcome.slots.emplace_back(result);
+    const std::string offline_frame =
+        render_run_response(offline_outcome, offline_request, 0);
+
     const std::vector<Served> cold = served_benchmarks(cold_frame);
+    const std::vector<Served> lru = served_benchmarks(lru_frame);
     const std::vector<Served> loaded = served_benchmarks(loaded_frame);
     const std::vector<Served> uncached = served_benchmarks(uncached_frame);
+    const std::vector<Served> rendered = served_benchmarks(offline_frame);
     ASSERT_EQ(cold.size(), offline.size());
+    ASSERT_EQ(lru.size(), offline.size());
     ASSERT_EQ(loaded.size(), offline.size());
     ASSERT_EQ(uncached.size(), offline.size());
+    ASSERT_EQ(rendered.size(), offline.size());
     for (std::size_t i = 0; i < offline.size(); ++i) {
         const std::string oracle = core::serialize_result(offline[i]);
         const std::string oracle_fnv =
@@ -307,10 +322,18 @@ TEST(ServedBytes, FiveRoutesServeIdenticalPayloads)
         const std::string &name = offline[i].workload;
         for (const auto &[route, served] :
              {std::pair<const char *, const Served *>{"cold", &cold[i]},
+              {"lru", &lru[i]},
               {"loaded", &loaded[i]},
-              {"uncached", &uncached[i]}}) {
+              {"uncached", &uncached[i]},
+              {"offline", &rendered[i]}}) {
             EXPECT_EQ(served->payload, oracle) << route << " " << name;
             EXPECT_EQ(served->result_fnv, oracle_fnv)
+                << route << " " << name;
+            // The printed checksum is the served payload's, whether it
+            // was carried from the artifact cache or computed here.
+            EXPECT_EQ(served->result_fnv,
+                      util::hex64(util::fnv1a(served->payload.data(),
+                                              served->payload.size())))
                 << route << " " << name;
         }
         EXPECT_FALSE(cold[i].from_cache) << name;
